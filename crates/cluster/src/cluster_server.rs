@@ -27,7 +27,7 @@ use mobieyes_net::{
 };
 use mobieyes_store::{self as store, Store, StoreConfig};
 use mobieyes_telemetry::{rebal_keys, rec_keys, EventKind, Telemetry};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::path::PathBuf;
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
@@ -82,6 +82,89 @@ struct RegisteredQuery {
     region: QueryRegion,
     filter: Arc<Filter>,
     expires_at: Option<f64>,
+}
+
+/// One focal object's row in the [`HomeDirectory`].
+#[derive(Debug)]
+struct FocalHome {
+    partition: u32,
+    /// The focal's queries, ascending: their SQT rows live with its FOT
+    /// row on the same partition.
+    queries: Vec<QueryId>,
+}
+
+/// The coordinator's home directory (DESIGN.md §9): which partition holds
+/// each focal object's FOT row, and with it the SQT rows of that focal's
+/// queries. Uplinks route through it instead of asking every partition.
+/// It changes only where the coordinator itself creates, removes or moves
+/// rows, mirroring the partition's own bookkeeping, and every fence ends
+/// by rebuilding it from the partitions. Entries may point at a partition
+/// that is down; the coordinator's lookups filter those out.
+#[derive(Debug, Default)]
+struct HomeDirectory {
+    focals: HashMap<ObjectId, FocalHome>,
+    /// Query → its focal object.
+    queries: HashMap<QueryId, ObjectId>,
+}
+
+impl HomeDirectory {
+    fn focal(&self, oid: ObjectId) -> Option<u32> {
+        self.focals.get(&oid).map(|h| h.partition)
+    }
+
+    fn query(&self, qid: QueryId) -> Option<u32> {
+        self.queries.get(&qid).and_then(|&f| self.focal(f))
+    }
+
+    /// A FOT row for `oid` exists on `p` (created there, or migrated in).
+    fn home_focal(&mut self, oid: ObjectId, p: u32) {
+        self.focals
+            .entry(oid)
+            .or_insert(FocalHome {
+                partition: p,
+                queries: Vec::new(),
+            })
+            .partition = p;
+    }
+
+    /// A query's SQT row joined its focal's FOT row.
+    fn add_query(&mut self, qid: QueryId, focal: ObjectId) {
+        let Some(h) = self.focals.get_mut(&focal) else {
+            return;
+        };
+        if let Err(at) = h.queries.binary_search(&qid) {
+            h.queries.insert(at, qid);
+        }
+        self.queries.insert(qid, focal);
+    }
+
+    /// A query's SQT row is gone; the FOT row goes with the focal's last
+    /// query, as in [`Server::remove_query`].
+    fn remove_query(&mut self, qid: QueryId) {
+        let Some(focal) = self.queries.remove(&qid) else {
+            return;
+        };
+        if let Some(h) = self.focals.get_mut(&focal) {
+            h.queries.retain(|&q| q != qid);
+            if h.queries.is_empty() {
+                self.focals.remove(&focal);
+            }
+        }
+    }
+
+    /// A FOT row and all its SQT rows left their partition; returns the
+    /// queries that went with it.
+    fn remove_focal(&mut self, oid: ObjectId) -> Vec<QueryId> {
+        let queries = self
+            .focals
+            .remove(&oid)
+            .map(|h| h.queries)
+            .unwrap_or_default();
+        for q in &queries {
+            self.queries.remove(q);
+        }
+        queries
+    }
 }
 
 /// Numeric reason codes carried by [`EventKind::RebalanceSkipped`]
@@ -161,6 +244,8 @@ pub struct ClusterServer {
     lost_spans: BTreeMap<u32, (usize, usize)>,
     /// Durable install records for crash re-installation.
     registry: BTreeMap<QueryId, RegisteredQuery>,
+    /// Where every FOT and SQT row lives; see [`HomeDirectory`].
+    dir: HomeDirectory,
     /// Bus envelopes addressed to a down partition, captured by the pump
     /// instead of being applied; the next failover fence re-routes them.
     orphans: Vec<Envelope>,
@@ -304,6 +389,10 @@ impl ClusterServer {
             epoch,
             alen,
         );
+        // Each process replayed its log at init; learn where those rows are.
+        if store_root.is_some() {
+            this.rebuild_directory();
+        }
         this.store_root = store_root;
         this
     }
@@ -342,6 +431,7 @@ impl ClusterServer {
             unfenced: Vec::new(),
             lost_spans: BTreeMap::new(),
             registry: BTreeMap::new(),
+            dir: HomeDirectory::default(),
             orphans: Vec::new(),
             store_root: None,
             stores: (0..n).map(|_| None).collect(),
@@ -456,6 +546,7 @@ impl ClusterServer {
             self.stores[p] = Some(store);
         }
         self.store_root = Some(root);
+        self.rebuild_directory();
         self
     }
 
@@ -567,6 +658,7 @@ impl ClusterServer {
         twin.set_telemetry(self.sinks[p as usize].clone());
         twin.set_journal(Some(Arc::new(store)));
         self.partitions[p as usize].replace_local(twin);
+        self.rebuild_directory();
     }
 
     /// Uplinks handled with partition `p` as primary (scaling bench).
@@ -617,74 +709,138 @@ impl ClusterServer {
     /// available in lockstep deployments only; remote drivers use
     /// [`Self::fetch_query_result`].
     pub fn query_result(&self, qid: QueryId) -> Option<&BTreeSet<ObjectId>> {
-        self.partitions.iter().find_map(|s| s.query_result_ref(qid))
+        self.query_home(qid)
+            .and_then(|h| self.partitions[h].query_result_ref(qid))
     }
 
-    /// Owned copy of a query's result set, local or remote. All partitions
-    /// are probed in one pipelined round; the query is homed on at most
-    /// one, so the first hit wins.
+    /// Owned copy of a query's result set, local or remote: one call to
+    /// the query's home partition.
     pub fn fetch_query_result(&self, qid: QueryId) -> Option<Vec<ObjectId>> {
-        let probes: Vec<_> = self
-            .partitions
-            .iter()
-            .map(|p| p.start_query_result(qid))
-            .collect();
-        let mut found = None;
-        for (p, pr) in self.partitions.iter().zip(probes) {
-            if let Some(r) = p.finish_query_result(pr) {
-                found.get_or_insert(r);
-            }
-        }
-        found
+        self.query_home(qid)
+            .and_then(|h| self.partitions[h].query_result_owned(qid))
     }
 
     pub fn query_focal(&self, qid: QueryId) -> Option<ObjectId> {
-        let probes: Vec<_> = self
-            .partitions
-            .iter()
-            .map(|p| p.start_query_focal(qid))
-            .collect();
-        let mut found = None;
-        for (p, pr) in self.partitions.iter().zip(probes) {
-            if let Some(oid) = p.finish_query_focal(pr) {
-                found.get_or_insert(oid);
-            }
-        }
-        found
+        self.query_home(qid)?;
+        self.dir.queries.get(&qid).copied()
     }
 
-    /// The partition currently holding the FOT row of `oid` (its home).
-    /// One pipelined probe round instead of sequential per-partition
-    /// round trips; `oid` is homed on at most one partition.
-    fn find_focal(&self, oid: ObjectId) -> Option<usize> {
-        let probes: Vec<_> = self
-            .partitions
-            .iter()
-            .map(|p| p.start_has_focal(oid))
-            .collect();
-        let mut found = None;
-        for (i, (p, pr)) in self.partitions.iter().zip(probes).enumerate() {
-            if p.finish_has_focal(pr) {
-                found.get_or_insert(i);
-            }
-        }
-        found
+    /// The live partition holding the FOT row of `oid` (its home), from
+    /// the home directory. `None` when the row is nowhere or its
+    /// partition is down.
+    fn focal_home(&self, oid: ObjectId) -> Option<usize> {
+        self.dir
+            .focal(oid)
+            .filter(|&p| !self.partition_down(p))
+            .map(|p| p as usize)
     }
 
-    /// The partition currently homing query `qid`.
-    fn find_query(&self, qid: QueryId) -> Option<usize> {
+    /// The live partition homing query `qid`.
+    fn query_home(&self, qid: QueryId) -> Option<usize> {
+        self.dir
+            .query(qid)
+            .filter(|&p| !self.partition_down(p))
+            .map(|p| p as usize)
+    }
+
+    // The partition ops below create, remove or move FOT and SQT rows;
+    // each wrapper keeps the home directory in step with the partition.
+
+    fn refresh_focal_motion_at(
+        &mut self,
+        p: usize,
+        oid: ObjectId,
+        motion: LinearMotion,
+        max_vel: f64,
+        insert: bool,
+    ) {
+        self.partitions[p].refresh_focal_motion(oid, motion, max_vel, insert);
+        if insert && self.focal_home(oid).is_none() {
+            // Any recorded home is down: its rows died with it.
+            self.dir.remove_focal(oid);
+            self.dir.home_focal(oid, p as u32);
+        }
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn complete_install_at(
+        &mut self,
+        p: usize,
+        qid: QueryId,
+        focal: ObjectId,
+        region: QueryRegion,
+        filter: Arc<Filter>,
+        expires_at: Option<f64>,
+        net: &mut Net,
+    ) {
+        self.partitions[p].complete_install_at(qid, focal, region, filter, expires_at, net);
+        self.dir.add_query(qid, focal);
+    }
+
+    fn remove_query_at(&mut self, p: usize, qid: QueryId, net: &mut Net) -> bool {
+        let removed = self.partitions[p].remove_query(qid, net);
+        if removed {
+            self.dir.remove_query(qid);
+        }
+        removed
+    }
+
+    /// Rebuilds the home directory from the live partitions' FOT and SQT
+    /// rows: one pipelined `FocalIds` round, one `QueryIds` round, and a
+    /// `QueryFocal` round for any query the registry does not know. Ends
+    /// every fence.
+    fn rebuild_directory(&mut self) {
+        let live: Vec<bool> = (0..self.partitions.len())
+            .map(|p| !self.partition_down(p as u32))
+            .collect();
         let probes: Vec<_> = self
             .partitions
             .iter()
-            .map(|p| p.start_has_query(qid))
+            .map(|h| h.start_focal_ids())
             .collect();
-        let mut found = None;
-        for (i, (p, pr)) in self.partitions.iter().zip(probes).enumerate() {
-            if p.finish_has_query(pr) {
-                found.get_or_insert(i);
+        let focal_ids: Vec<Vec<ObjectId>> = self
+            .partitions
+            .iter()
+            .zip(probes)
+            .map(|(h, pr)| h.finish_focal_ids(pr))
+            .collect();
+        let probes: Vec<_> = self
+            .partitions
+            .iter()
+            .map(|h| h.start_query_ids())
+            .collect();
+        let query_ids: Vec<Vec<QueryId>> = self
+            .partitions
+            .iter()
+            .zip(probes)
+            .map(|(h, pr)| h.finish_query_ids(pr))
+            .collect();
+        let mut dir = HomeDirectory::default();
+        for (p, oids) in focal_ids.into_iter().enumerate() {
+            if live[p] {
+                for oid in oids {
+                    dir.home_focal(oid, p as u32);
+                }
             }
         }
-        found
+        let mut unknown = Vec::new();
+        for (p, qids) in query_ids.into_iter().enumerate() {
+            if !live[p] {
+                continue;
+            }
+            for qid in qids {
+                match self.registry.get(&qid) {
+                    Some(r) => dir.add_query(qid, r.focal),
+                    None => unknown.push((p, qid, self.partitions[p].start_query_focal(qid))),
+                }
+            }
+        }
+        for (p, qid, pr) in unknown {
+            if let Some(focal) = self.partitions[p].finish_query_focal(pr) {
+                dir.add_query(qid, focal);
+            }
+        }
+        self.dir = dir;
     }
 
     /// Drains every partition's outbox onto the bus (partition order) and
@@ -711,6 +867,12 @@ impl ClusterServer {
                 continue;
             }
             self.partitions[env.to as usize].apply_cluster_msg(&env.msg);
+            if let ClusterMsg::MigrateFocal { oid, queries, .. } = &env.msg {
+                self.dir.home_focal(*oid, env.to);
+                for q in queries {
+                    self.dir.add_query(q.spec.qid, *oid);
+                }
+            }
         }
         debug_assert!(self
             .partitions
@@ -771,8 +933,8 @@ impl ClusterServer {
                 expires_at,
             },
         );
-        if let Some(home) = self.find_focal(focal) {
-            self.partitions[home].complete_install_at(qid, focal, region, filter, expires_at, net);
+        if let Some(home) = self.focal_home(focal) {
+            self.complete_install_at(home, qid, focal, region, filter, expires_at, net);
             self.pump_bus();
         } else {
             let q = self.pending.entry(focal).or_default();
@@ -795,10 +957,10 @@ impl ClusterServer {
     /// Removes a query from the system, wherever it is homed.
     pub fn remove_query(&mut self, qid: QueryId, net: &mut Net) -> bool {
         self.registry.remove(&qid);
-        let Some(home) = self.find_query(qid) else {
+        let Some(home) = self.query_home(qid) else {
             return false;
         };
-        let removed = self.partitions[home].remove_query(qid, net);
+        let removed = self.remove_query_at(home, qid, net);
         self.pump_bus();
         self.merge_sinks();
         removed
@@ -821,7 +983,7 @@ impl ClusterServer {
         for (home, qid) in expired {
             self.registry.remove(&qid);
             self.sinks[home].event(EventKind::QueryExpired { qid: qid.0 as u64 });
-            self.partitions[home].remove_query(qid, net);
+            self.remove_query_at(home, qid, net);
             self.pump_bus();
             out.push(qid);
         }
@@ -874,7 +1036,7 @@ impl ClusterServer {
                 let (region, filter, expires_at) = self.partitions[home]
                     .reinstall_info(qid)
                     .expect("leased query in SQT");
-                self.partitions[home].remove_query(qid, net);
+                self.remove_query_at(home, qid, net);
                 self.pump_bus();
                 self.pending.entry(oid).or_default().push(PendingInstall {
                     qid,
@@ -936,9 +1098,9 @@ impl ClusterServer {
             .map(|f| self.map.owner_of_flat(f) as usize)
             .or_else(|| match &msg {
                 Uplink::ResultUpdate { changes, .. } => {
-                    changes.first().and_then(|(q, _)| self.find_query(*q))
+                    changes.first().and_then(|(q, _)| self.query_home(*q))
                 }
-                Uplink::GroupResultUpdate { focal, .. } => self.find_focal(*focal),
+                Uplink::GroupResultUpdate { focal, .. } => self.focal_home(*focal),
                 _ => None,
             })
             .unwrap_or(0);
@@ -947,23 +1109,20 @@ impl ClusterServer {
         }
         self.ops[primary] += 1;
         self.sinks[primary].incr(srv_keys::UPLINKS);
-        // Any uplink from a focal object renews its lease, wherever the
-        // FOT row is homed. Leases only matter under the fault-tolerance
-        // layer; without it `last_heard` is never read.
+        // Any uplink from a focal object renews its lease at the FOT
+        // row's home (a renewal anywhere else is a no-op). Leases only
+        // matter under the fault-tolerance layer; without it `last_heard`
+        // is never read.
         if self.config.fault_tolerant() {
-            let probes: Vec<_> = self
-                .partitions
-                .iter_mut()
-                .map(|p| p.start_renew_lease(ObjectId(from.0)))
-                .collect();
-            for (s, pr) in self.partitions.iter().zip(probes) {
-                s.finish_unit(pr, "RenewLease");
+            let oid = ObjectId(from.0);
+            if let Some(home) = self.focal_home(oid) {
+                self.partitions[home].renew_lease(oid);
             }
         }
         match msg {
             Uplink::VelocityReport { oid, motion } => {
                 debug_assert_eq!(from.0, oid.0);
-                let target = self.find_focal(oid).unwrap_or(primary);
+                let target = self.focal_home(oid).unwrap_or(primary);
                 self.partitions[target].on_velocity_report(oid, motion, net);
                 self.pump_bus();
             }
@@ -979,7 +1138,7 @@ impl ClusterServer {
             Uplink::ResultUpdate { oid, changes } => {
                 self.sinks[primary].incr(srv_keys::RESULT_UPDATES);
                 for (qid, is_target) in changes {
-                    if let Some(home) = self.find_query(qid) {
+                    if let Some(home) = self.query_home(qid) {
                         self.partitions[home].apply_result_change(qid, oid, is_target, net);
                     }
                 }
@@ -991,7 +1150,7 @@ impl ClusterServer {
                 targets,
             } => {
                 self.sinks[primary].incr(srv_keys::RESULT_UPDATES);
-                if let Some(home) = self.find_focal(focal) {
+                if let Some(home) = self.focal_home(focal) {
                     self.partitions[home].apply_group_result_update(oid, focal, mask, targets, net);
                 }
             }
@@ -1000,8 +1159,8 @@ impl ClusterServer {
                 motion,
                 max_vel,
             } => {
-                let target = self.find_focal(oid).unwrap_or(primary);
-                self.partitions[target].refresh_focal_motion(oid, motion, max_vel, true);
+                let target = self.focal_home(oid).unwrap_or(primary);
+                self.refresh_focal_motion_at(target, oid, motion, max_vel, true);
                 self.pump_bus();
                 self.complete_pending(oid, net);
             }
@@ -1036,9 +1195,10 @@ impl ClusterServer {
         // clamp before any flat-index lookup.
         let new_cell = self.config.grid.clamp_cell(new_cell);
         let new_home = self.map.owner_of_cell(&self.config.grid, new_cell) as usize;
-        if let Some(home) = self.find_focal(oid) {
+        if let Some(home) = self.focal_home(oid) {
             if home != new_home {
                 if let Some(m) = self.partitions[home].extract_focal(oid) {
+                    let queries = self.dir.remove_focal(oid);
                     self.bus
                         .send(
                             NodeId(home as u32),
@@ -1049,18 +1209,50 @@ impl ClusterServer {
                         )
                         .expect("bus send failed");
                     self.pump_bus();
+                    // A faulty bus may have dropped the migration: the rows
+                    // are then homeless on both partitions. (A migration to
+                    // a down partition is an orphan the next fence re-routes.)
+                    if self.focal_home(oid).is_none() && !self.partition_down(new_home as u32) {
+                        self.requeue_lost(oid, &queries, net);
+                    }
                 }
             }
-            // Re-resolve: under a faulty bus the migration may have been
-            // lost, leaving the object temporarily homeless (repaired by
-            // lease expiry, like any other lost state).
-            if let Some(h) = self.find_focal(oid) {
+            if let Some(h) = self.focal_home(oid) {
                 self.partitions[h].apply_cell_change_focal(oid, new_cell, motion, net);
                 self.pump_bus();
             }
         }
         self.partitions[new_home].apply_cell_change_fresh(oid, prev_cell, new_cell, motion, net);
         self.pump_bus();
+    }
+
+    /// Re-enters queries whose rows were lost in flight into the
+    /// pending-install pipeline under their original ids, and asks the
+    /// focal agent to report its position: the `PositionReply` re-forms
+    /// the FOT row and completes the installs, and the next heartbeat's
+    /// `LqtSync` answers restore the result sets.
+    fn requeue_lost(&mut self, oid: ObjectId, qids: &[QueryId], net: &mut Net) {
+        let lost: Vec<PendingInstall> = qids
+            .iter()
+            .filter_map(|q| {
+                let r = self.registry.get(q)?;
+                Some(PendingInstall {
+                    qid: *q,
+                    region: r.region,
+                    filter: Arc::clone(&r.filter),
+                    expires_at: r.expires_at,
+                })
+            })
+            .collect();
+        if lost.is_empty() {
+            return;
+        }
+        let pending = self.pending.entry(oid).or_default();
+        if pending.is_empty() {
+            self.sinks[0].incr(srv_keys::UNICAST_OPS);
+            net.send_unicast(oid.node(), Downlink::PositionRequest);
+        }
+        pending.extend(lost);
     }
 
     /// Completes the coordinator-owned deferred installs of `oid` at its
@@ -1072,19 +1264,12 @@ impl ClusterServer {
         // The FOT row normally exists by now, but the partition it was
         // just created on may have died mid-tick; keep the installs
         // deferred and let the heartbeat retry.
-        let Some(home) = self.find_focal(oid) else {
+        let Some(home) = self.focal_home(oid) else {
             self.pending.insert(oid, pending);
             return;
         };
         for p in pending {
-            self.partitions[home].complete_install_at(
-                p.qid,
-                oid,
-                p.region,
-                p.filter,
-                p.expires_at,
-                net,
-            );
+            self.complete_install_at(home, p.qid, oid, p.region, p.filter, p.expires_at, net);
             self.pump_bus();
         }
     }
@@ -1103,12 +1288,12 @@ impl ClusterServer {
     ) {
         let cell = self.config.grid.clamp_cell(cell);
         let has_pending = self.pending.contains_key(&oid);
-        let home0 = self.find_focal(oid);
+        let home0 = self.focal_home(oid);
         // A focal crashed by a churn plan mid-handoff (or torn down by a
-        // concurrent lease expiry) may have no FOT row left even though a
-        // partition still answered `has_focal` a moment ago; treat any
-        // missing piece as "no prior state" instead of panicking — the
-        // lease teardown reclaims the queries.
+        // concurrent lease expiry) may have no FOT row left even though
+        // the directory placed it a moment ago; treat any missing piece
+        // as "no prior state" instead of panicking — the lease teardown
+        // reclaims the queries.
         let prior = home0.and_then(|h| {
             Some((
                 self.partitions[h].focal_motion(oid)?,
@@ -1120,7 +1305,7 @@ impl ClusterServer {
                 .owner_of_cell(&self.config.grid, self.config.grid.cell_of(motion.pos))
                 as usize
         });
-        self.partitions[target].refresh_focal_motion(oid, motion, max_vel, has_pending);
+        self.refresh_focal_motion_at(target, oid, motion, max_vel, has_pending);
         self.pump_bus();
         if let Some((old_motion, queries)) = prior {
             if !queries.is_empty() {
@@ -1158,7 +1343,7 @@ impl ClusterServer {
             }
         }
         self.complete_pending(oid, net);
-        if let Some(home) = self.find_focal(oid) {
+        if let Some(home) = self.focal_home(oid) {
             self.partitions[home].focal_reassert(oid, net);
         }
         let owner = self.map.owner_of_cell(&self.config.grid, cell) as usize;
@@ -1170,10 +1355,12 @@ impl ClusterServer {
     fn lqt_sync(&mut self, oid: ObjectId, entries: Vec<(QueryId, bool)>, net: &mut Net) {
         self.sinks[0].incr(srv_keys::LQT_SYNCS);
         let mentioned: BTreeMap<QueryId, bool> = entries.into_iter().collect();
-        let mut qids: Vec<(usize, QueryId)> = Vec::new();
-        for (p, s) in self.partitions.iter().enumerate() {
-            qids.extend(s.query_ids().into_iter().map(|q| (p, q)));
-        }
+        let mut qids: Vec<(usize, QueryId)> = self
+            .dir
+            .queries
+            .keys()
+            .filter_map(|&q| self.query_home(q).map(|h| (h, q)))
+            .collect();
         qids.sort_unstable_by_key(|&(_, q)| q);
         let mut deltas: Vec<(usize, QueryId, bool)> = Vec::new();
         let mut stale = 0u64;
@@ -1364,6 +1551,7 @@ impl ClusterServer {
                 h.finish_unit(pr, "PruneStubs");
             }
         }
+        self.rebuild_directory();
         self.bus.set_fault(saved_fault);
         // Start the next observation window fresh.
         for c in self.cell_ops.iter_mut() {
@@ -1746,10 +1934,9 @@ impl ClusterServer {
                     .map
                     .owner_of_cell(&self.config.grid, self.config.grid.cell_of(motion.pos))
                     as usize;
-                self.partitions[home].refresh_focal_motion(focal, motion, max_vel, true);
+                self.refresh_focal_motion_at(home, focal, motion, max_vel, true);
                 self.pump_bus();
-                self.partitions[home]
-                    .complete_install_at(qid, focal, region, filter, expires_at, net);
+                self.complete_install_at(home, qid, focal, region, filter, expires_at, net);
                 self.pump_bus();
                 // Restore the journaled result set quietly: the members
                 // were already announced to the agent before the crash.
@@ -1784,6 +1971,7 @@ impl ClusterServer {
         self.bus_sink
             .add(rec_keys::QUERIES_REPLAYED, queries_replayed as u64);
 
+        self.rebuild_directory();
         self.bus.set_fault(saved_fault);
         // Ownership moved; the load observation window restarts.
         for c in self.cell_ops.iter_mut() {
@@ -1982,6 +2170,7 @@ impl ClusterServer {
                 self.partitions[q].prune_stubs();
             }
         }
+        self.rebuild_directory();
         self.bus.set_fault(saved_fault);
         for c in self.cell_ops.iter_mut() {
             *c = 0;
@@ -1997,16 +2186,74 @@ impl ClusterServer {
 
     /// Structural self-check: every partition's local invariants, plus
     /// the cross-partition ones — each query homed on exactly one
-    /// partition, each focal object on exactly one partition.
+    /// partition, each focal object on exactly one partition — and the
+    /// home directory's agreement with every live partition's FOT and SQT
+    /// rows. The directory may still point at a crashed partition whose
+    /// fence has not run; once fenced, no entry may name it.
     pub fn check_invariants(&self) {
         for s in &self.partitions {
             s.check_invariants();
         }
+        let mut seen_f: BTreeSet<ObjectId> = BTreeSet::new();
         let mut seen_q: BTreeSet<QueryId> = BTreeSet::new();
-        for s in &self.partitions {
-            for q in s.query_ids() {
+        for (p, s) in self.partitions.iter().enumerate() {
+            let focals: BTreeSet<ObjectId> = s.focal_ids().into_iter().collect();
+            let queries: BTreeSet<QueryId> = s.query_ids().into_iter().collect();
+            for &f in &focals {
+                assert!(seen_f.insert(f), "focal {f:?} homed on two partitions");
+            }
+            for &q in &queries {
                 assert!(seen_q.insert(q), "query {q:?} homed on two partitions");
             }
+            let p = p as u32;
+            if self.partition_down(p) {
+                continue;
+            }
+            let dir_focals: BTreeSet<ObjectId> = self
+                .dir
+                .focals
+                .iter()
+                .filter(|(_, h)| h.partition == p)
+                .map(|(&f, _)| f)
+                .collect();
+            assert_eq!(
+                dir_focals, focals,
+                "home directory disagrees with partition {p}'s FOT rows"
+            );
+            let dir_queries: BTreeSet<QueryId> = self
+                .dir
+                .queries
+                .keys()
+                .copied()
+                .filter(|&q| self.dir.query(q) == Some(p))
+                .collect();
+            assert_eq!(
+                dir_queries, queries,
+                "home directory disagrees with partition {p}'s SQT rows"
+            );
+        }
+        for (f, h) in &self.dir.focals {
+            assert!(
+                !self.dead.contains(&h.partition) || self.unfenced.contains(&h.partition),
+                "directory homes focal {f:?} on fenced-off partition {}",
+                h.partition
+            );
+            for q in &h.queries {
+                assert_eq!(
+                    self.dir.queries.get(q),
+                    Some(f),
+                    "directory query list of {f:?}"
+                );
+            }
+        }
+        for (q, f) in &self.dir.queries {
+            assert!(
+                self.dir
+                    .focals
+                    .get(f)
+                    .is_some_and(|h| h.queries.contains(q)),
+                "directory query {q:?} without its focal {f:?}"
+            );
         }
         let mut ids = self.query_ids();
         ids.dedup();
@@ -2154,14 +2401,19 @@ mod tests {
     fn lost_queries_reenter_pending_with_original_id() {
         let (mut cluster, mut net) = test_cluster(4);
         let cell = cluster.config.grid.cell_from_flat(250);
-        // Home a query-less focal row on partition 2, then install a
+        // Home a query-less focal row on partition 2 through the bus (so
+        // the coordinator's directory sees it arrive), then install a
         // query against it through the coordinator (recorded in the
         // registry like any driver install).
         let mut seed = migrate_msg(7, 3, cell);
         if let ClusterMsg::MigrateFocal { queries, .. } = &mut seed {
             queries.clear();
         }
-        cluster.partitions[2].apply_cluster_msg(&seed);
+        cluster
+            .bus
+            .send(NodeId(0), Envelope { to: 2, msg: seed })
+            .expect("bus send");
+        cluster.pump_bus();
         let qid = cluster.install_query(
             ObjectId(7),
             QueryRegion::circle(2.5),

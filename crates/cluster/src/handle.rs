@@ -278,7 +278,7 @@ impl PartitionHandle {
 
     // --- pipelined probes -------------------------------------------------
     //
-    // The coordinator's fan-out loops (ownership probes, digest beacons,
+    // The coordinator's fan-out loops (directory rebuilds, digest beacons,
     // lease scans) hit every partition with the same read-only op. Issued
     // through `try_call` those serialize: each remote round trip completes
     // before the next request leaves. The start/finish pairs below put
@@ -323,28 +323,6 @@ impl PartitionHandle {
         }
     }
 
-    pub fn start_has_focal(&self, oid: ObjectId) -> Probe<bool> {
-        self.start(PartitionOp::HasFocal(oid), |s| s.has_focal(oid))
-    }
-
-    pub fn finish_has_focal(&self, probe: Probe<bool>) -> bool {
-        self.finish(probe, "HasFocal", |p| match p {
-            ReplyPayload::Bool(b) => b,
-            other => bad_payload("HasFocal", &other),
-        })
-    }
-
-    pub fn start_has_query(&self, qid: QueryId) -> Probe<bool> {
-        self.start(PartitionOp::HasQuery(qid), |s| s.has_query(qid))
-    }
-
-    pub fn finish_has_query(&self, probe: Probe<bool>) -> bool {
-        self.finish(probe, "HasQuery", |p| match p {
-            ReplyPayload::Bool(b) => b,
-            other => bad_payload("HasQuery", &other),
-        })
-    }
-
     pub fn start_num_queries(&self) -> Probe<usize> {
         self.start(PartitionOp::NumQueries, |s| s.num_queries())
     }
@@ -364,22 +342,6 @@ impl PartitionHandle {
         self.finish(probe, "QueryIds", |p| match p {
             ReplyPayload::Qids(qids) => qids,
             other => bad_payload("QueryIds", &other),
-        })
-    }
-
-    pub fn start_query_result(&self, qid: QueryId) -> Probe<Option<Vec<ObjectId>>> {
-        self.start(PartitionOp::QueryResult(qid), |s| {
-            s.query_result(qid).map(|r| r.iter().copied().collect())
-        })
-    }
-
-    pub fn finish_query_result(
-        &self,
-        probe: Probe<Option<Vec<ObjectId>>>,
-    ) -> Option<Vec<ObjectId>> {
-        self.finish(probe, "QueryResult", |p| match p {
-            ReplyPayload::ResultSet(oids) => oids,
-            other => bad_payload("QueryResult", &other),
         })
     }
 
@@ -432,24 +394,8 @@ impl PartitionHandle {
         })
     }
 
-    /// Mutating fan-out ops (lease renewal, clock distribution): local
-    /// handles apply immediately, remote requests pipeline.
-    pub fn start_renew_lease(&mut self, oid: ObjectId) -> Probe<()> {
-        match self {
-            PartitionHandle::Local(s) => {
-                s.renew_lease(oid);
-                Probe::Ready(())
-            }
-            PartitionHandle::Remote(r) => {
-                if r.send_classified(&PartitionOp::RenewLease(oid)) {
-                    Probe::Pending
-                } else {
-                    Probe::Dead
-                }
-            }
-        }
-    }
-
+    /// Mutating fan-out op (clock distribution): local handles apply
+    /// immediately, remote requests pipeline.
     pub fn start_set_time(&mut self, now: f64) -> Probe<()> {
         match self {
             PartitionHandle::Local(s) => {
@@ -773,28 +719,6 @@ impl PartitionHandle {
                 Some(ReplyPayload::OptOid(oid)) => oid,
                 None => None,
                 Some(other) => bad_payload("QueryFocal", &other),
-            },
-        }
-    }
-
-    pub fn has_focal(&self, oid: ObjectId) -> bool {
-        match self {
-            PartitionHandle::Local(s) => s.has_focal(oid),
-            PartitionHandle::Remote(r) => match r.call_quiet(PartitionOp::HasFocal(oid)) {
-                Some(ReplyPayload::Bool(b)) => b,
-                None => false,
-                Some(other) => bad_payload("HasFocal", &other),
-            },
-        }
-    }
-
-    pub fn has_query(&self, qid: QueryId) -> bool {
-        match self {
-            PartitionHandle::Local(s) => s.has_query(qid),
-            PartitionHandle::Remote(r) => match r.call_quiet(PartitionOp::HasQuery(qid)) {
-                Some(ReplyPayload::Bool(b)) => b,
-                None => false,
-                Some(other) => bad_payload("HasQuery", &other),
             },
         }
     }

@@ -291,8 +291,6 @@ fn execute(s: &mut ServiceState, op: PartitionOp) -> ReplyPayload {
                 .map(|r| r.iter().copied().collect()),
         ),
         PartitionOp::QueryFocal(qid) => ReplyPayload::OptOid(s.server.query_focal(qid)),
-        PartitionOp::HasFocal(oid) => ReplyPayload::Bool(s.server.has_focal(oid)),
-        PartitionOp::HasQuery(qid) => ReplyPayload::Bool(s.server.has_query(qid)),
         PartitionOp::FocalMotion(oid) => ReplyPayload::OptMotion(s.server.focal_motion(oid)),
         PartitionOp::FocalQueries(oid) => ReplyPayload::OptQids(s.server.focal_queries(oid)),
         PartitionOp::QueryCell(qid) => ReplyPayload::OptCell(s.server.query_cell(qid)),

@@ -148,8 +148,6 @@ pub enum PartitionOp {
     QueryIds,
     QueryResult(QueryId),
     QueryFocal(QueryId),
-    HasFocal(ObjectId),
-    HasQuery(QueryId),
     FocalMotion(ObjectId),
     FocalQueries(ObjectId),
     QueryCell(QueryId),
@@ -464,14 +462,6 @@ pub fn encode_request(epoch_floor: u64, op: &PartitionOp, out: &mut Vec<u8>) {
             out.put_u8(20);
             put_qid(out, *qid);
         }
-        PartitionOp::HasFocal(oid) => {
-            out.put_u8(21);
-            put_oid(out, *oid);
-        }
-        PartitionOp::HasQuery(qid) => {
-            out.put_u8(22);
-            put_qid(out, *qid);
-        }
         PartitionOp::FocalMotion(oid) => {
             out.put_u8(23);
             put_oid(out, *oid);
@@ -648,8 +638,9 @@ pub fn decode_request(bytes: &[u8]) -> Result<(u64, PartitionOp)> {
             18 => PartitionOp::QueryIds,
             19 => PartitionOp::QueryResult(get_qid(&mut buf)?),
             20 => PartitionOp::QueryFocal(get_qid(&mut buf)?),
-            21 => PartitionOp::HasFocal(get_oid(&mut buf)?),
-            22 => PartitionOp::HasQuery(get_qid(&mut buf)?),
+            // 21 and 22 were the `HasFocal`/`HasQuery` ownership probes,
+            // retired when the coordinator began routing through its home
+            // directory; they decode as unknown tags and are never reused.
             23 => PartitionOp::FocalMotion(get_oid(&mut buf)?),
             24 => PartitionOp::FocalQueries(get_oid(&mut buf)?),
             25 => PartitionOp::QueryCell(get_qid(&mut buf)?),
@@ -1110,8 +1101,6 @@ mod tests {
             PartitionOp::QueryIds,
             PartitionOp::QueryResult(QueryId(6)),
             PartitionOp::QueryFocal(QueryId(6)),
-            PartitionOp::HasFocal(ObjectId(7)),
-            PartitionOp::HasQuery(QueryId(6)),
             PartitionOp::FocalMotion(ObjectId(7)),
             PartitionOp::FocalQueries(ObjectId(7)),
             PartitionOp::QueryCell(QueryId(6)),
@@ -1278,6 +1267,25 @@ mod tests {
         encode_reply(&reply, &mut bytes);
         for cut in 0..bytes.len() {
             assert!(decode_reply(&bytes[..cut]).is_err());
+        }
+    }
+
+    /// Frames carrying a retired opcode are rejected as unknown ops, with
+    /// or without an operand after the tag, and never panic the decoder.
+    #[test]
+    fn retired_probe_opcodes_are_rejected() {
+        for tag in [21u8, 22] {
+            for operand in [&[][..], &7u32.to_le_bytes()[..], &[0xFF; 12][..]] {
+                let mut bytes = 5u64.to_le_bytes().to_vec();
+                bytes.push(tag);
+                bytes.extend_from_slice(operand);
+                let err = decode_request(&bytes).expect_err("retired opcode must not decode");
+                assert!(
+                    err.to_string()
+                        .contains(&format!("unknown partition op tag {tag}")),
+                    "{err}"
+                );
+            }
         }
     }
 

@@ -2143,7 +2143,23 @@ impl Server {
                     if self.sqt.get(&qid).is_some_and(|e| e.seq >= q.spec.seq) {
                         continue;
                     }
-                    self.stubs.remove(&qid);
+                    // Our stub normally mirrors the migrated region over
+                    // our cells exactly. A stub message lost on a faulty
+                    // bus leaves it stale (or absent): re-cover our cells
+                    // from the migrated row.
+                    let stub_mon = self.stubs.remove(&qid).map(|s| s.mon_region);
+                    let owned = self.owned_span();
+                    let grid = &self.config.grid;
+                    let overlap = q
+                        .mon_region
+                        .iter()
+                        .any(|c| Self::owns_flat(grid.flat_index(c), &owned));
+                    if stub_mon != overlap.then_some(q.mon_region) {
+                        if let Some(old) = stub_mon {
+                            self.rqi_remove(qid, &old);
+                        }
+                        self.rqi_insert(qid, &q.mon_region);
+                    }
                     self.sqt.insert(
                         qid,
                         SqtEntry {

@@ -12,8 +12,9 @@
 
 use mobieyes_core::server::srv_keys;
 use mobieyes_core::{ObjectId, Propagation};
-use mobieyes_net::PartitionCrashPlan;
-use mobieyes_sim::{MobiEyesSim, RecoveryKind, SimConfig};
+use mobieyes_net::meter::keys as net_keys;
+use mobieyes_net::{FaultPlan, PartitionCrashPlan};
+use mobieyes_sim::{ClusterSim, MobiEyesSim, RecoveryKind, SimConfig};
 use mobieyes_telemetry::MetricsSnapshot;
 use std::collections::BTreeSet;
 
@@ -348,5 +349,65 @@ fn reinstalled_query_retires_stale_rqi_coverage() {
             sim.cluster().check_invariants();
         }
         sim.shutdown();
+    }
+}
+
+// --- faulty inter-partition bus ---
+
+/// A faulty server↔server bus drops and duplicates handoff traffic. A
+/// duplicated `MigrateFocal` applies idempotently; a dropped one leaves
+/// the focal's rows homeless on both partitions until the coordinator
+/// re-installs its queries through the pending pipeline. The
+/// coordinator's home directory must follow every outcome exactly, so the
+/// structural check (directory included) runs after every tick. Once the
+/// bus heals and mobility freezes, the repair must re-home every query.
+///
+/// Result sets are not compared with ground truth here: a dropped
+/// `StubUpdate` that should have created a stub leaves that partition's
+/// cells uncovered until the query's region moves again, and with
+/// mobility frozen it never does.
+#[test]
+fn faulty_bus_keeps_the_home_directory_exact_and_rehomes_lost_queries() {
+    for seed in 1..=6u64 {
+        let propagation = if seed % 2 == 0 {
+            Propagation::Lazy
+        } else {
+            Propagation::Eager
+        };
+        let config = SimConfig::small_test(seed)
+            .with_propagation(propagation)
+            .with_lease_ticks(LEASE_TICKS);
+        let mut cluster = ClusterSim::new(config, 4);
+        cluster.set_bus_fault(FaultPlan::new(0.2, 0.2, seed));
+        for _ in 0..36 {
+            cluster.step(false);
+            cluster.cluster().expect("4 partitions").check_invariants();
+        }
+        let faults = cluster
+            .cluster()
+            .expect("4 partitions")
+            .bus_telemetry()
+            .snapshot();
+        assert!(
+            faults.counter(net_keys::FAULT_UPLINK_DROPPED) > 0
+                && faults.counter(net_keys::FAULT_UPLINK_DUPLICATED) > 0,
+            "the fault plan must both drop and duplicate handoff traffic (seed {seed})"
+        );
+        cluster.set_bus_fault(FaultPlan::none());
+        let sim = cluster.sim_mut();
+        sim.freeze(true);
+        let rehomed = (0..=MAX_RECOVERY).any(|_| {
+            let c = sim.cluster();
+            if sim.query_ids().iter().all(|&q| c.query_focal(q).is_some()) {
+                return true;
+            }
+            sim.step(false);
+            sim.cluster().check_invariants();
+            false
+        });
+        assert!(
+            rehomed,
+            "queries still homeless {MAX_RECOVERY} frozen ticks after the bus healed (seed {seed})"
+        );
     }
 }

@@ -27,10 +27,16 @@ fn config(seed: u64, propagation: Propagation, partitions: usize) -> SimConfig {
 
 /// Steps `sim` for the comparison window, capturing every query's result
 /// set after each tick (owned fetch: works on remote deployments too).
-fn trace(sim: &mut MobiEyesSim) -> ResultTrace {
+/// With `check`, the cluster's structural invariants — the coordinator's
+/// home directory against every partition's rows included — are
+/// asserted after every tick.
+fn trace(sim: &mut MobiEyesSim, check: bool) -> ResultTrace {
     (0..TICKS)
         .map(|_| {
             sim.step(true);
+            if check {
+                sim.cluster().check_invariants();
+            }
             sim.query_ids()
                 .iter()
                 .map(|&q| sim.query_result_owned(q).unwrap_or_default())
@@ -57,7 +63,7 @@ fn remote_trace(cfg: SimConfig, partitions: usize, uds: bool) -> (ResultTrace, u
     let client = ClusterClient::connect(hosted.endpoints(), Duration::from_secs(5))
         .expect("connect to hosted partitions");
     let mut sim = client.into_sim(cfg, Telemetry::new());
-    let results = trace(&mut sim);
+    let results = trace(&mut sim, true);
     let digest = sim.result_digest();
     sim.shutdown();
     hosted.join().expect("partition services exit cleanly");
@@ -67,7 +73,7 @@ fn remote_trace(cfg: SimConfig, partitions: usize, uds: bool) -> (ResultTrace, u
 fn check_cell(seed: u64, propagation: Propagation, partitions: usize, uds: bool) {
     let reference = {
         let mut sim = MobiEyesSim::new(config(seed, propagation, partitions));
-        trace(&mut sim)
+        trace(&mut sim, false)
     };
     // (a) In-process cluster with the bus over a kernel socket pair. Only
     // meaningful when a bus exists (partitions > 1).
@@ -78,7 +84,7 @@ fn check_cell(seed: u64, propagation: Propagation, partitions: usize, uds: bool)
             TransportKind::Tcp
         };
         let mut sim = MobiEyesSim::new(config(seed, propagation, partitions).with_transport(kind));
-        let socket_bus = trace(&mut sim);
+        let socket_bus = trace(&mut sim, true);
         assert_traces_match(
             &format!("socket bus seed={seed} p={partitions} {propagation:?}"),
             &reference,
@@ -113,7 +119,7 @@ fn remote_rebalance_trace(cfg: SimConfig, partitions: usize, uds: bool) -> (Resu
     let client = ClusterClient::connect(hosted.endpoints(), Duration::from_secs(5))
         .expect("connect to hosted partitions");
     let mut sim = client.into_sim(cfg, Telemetry::new());
-    let results = trace(&mut sim);
+    let results = trace(&mut sim, true);
     let digest = sim.result_digest();
     let generation = sim.cluster().map_generation();
     sim.shutdown();
@@ -132,7 +138,7 @@ fn check_rebalance_cell(seed: u64, propagation: Propagation, partitions: usize, 
     let cfg = config(seed, propagation, partitions).with_rebalance_ticks(3);
     let (reference, reference_generation) = {
         let mut sim = MobiEyesSim::new(cfg.clone());
-        let t = trace(&mut sim);
+        let t = trace(&mut sim, false);
         (t, sim.cluster().map_generation())
     };
     assert!(
@@ -145,7 +151,7 @@ fn check_rebalance_cell(seed: u64, propagation: Propagation, partitions: usize, 
         TransportKind::Tcp
     };
     let mut socket_sim = MobiEyesSim::new(cfg.clone().with_transport(kind));
-    let socket_bus = trace(&mut socket_sim);
+    let socket_bus = trace(&mut socket_sim, true);
     assert_eq!(
         socket_sim.cluster().map_generation(),
         reference_generation,

@@ -12,6 +12,7 @@ use std::cell::RefCell;
 use std::io::{BufRead, BufReader};
 use std::process::{Child, Command, Stdio};
 use std::rc::Rc;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 const PARTITIONS: usize = 4;
@@ -29,13 +30,18 @@ fn crash_config(seed: u64) -> SimConfig {
 }
 
 /// Spawns one `mobieyes-serve partition` child on a fresh Unix socket and
-/// waits for its `READY` line.
-fn spawn_service(p: usize, incarnation: u64) -> (Child, Endpoint) {
+/// waits for its `READY` line. The tests of this file run in parallel in
+/// one process, and respawns reuse a partition id, so a per-process spawn
+/// counter keeps every socket path apart (binding a path unlinks whatever
+/// socket sits there).
+fn spawn_service(p: usize) -> (Child, Endpoint) {
+    static SPAWNS: AtomicU64 = AtomicU64::new(0);
+    let spawn = SPAWNS.fetch_add(1, Ordering::Relaxed);
     let listen = format!(
         "uds:{}",
         std::env::temp_dir()
             .join(format!(
-                "mobieyes-crashtest-{}-{p}-{incarnation}.sock",
+                "mobieyes-crashtest-{}-{spawn}-{p}.sock",
                 std::process::id()
             ))
             .display()
@@ -89,11 +95,15 @@ fn collect(sim: &MobiEyesSim) -> Vec<std::collections::BTreeSet<mobieyes::core::
 }
 
 /// Steps a deployment through the crash and the convergence phase,
-/// asserting the §13 contract along the way.
+/// asserting the §13 contract along the way. The cluster's structural
+/// invariants, the coordinator's home directory against every live
+/// partition's rows included, are checked after every tick, so after
+/// each failover, respawn and rebalance fence.
 fn run_traced(mut sim: MobiEyesSim, victims: &[u32], respawn: bool) -> Trace {
     let mut results = Vec::new();
     for _ in 0..CRASH_TICK as usize + POST_CRASH_TICKS {
         sim.step(false);
+        sim.cluster().check_invariants();
         results.push(collect(&sim));
     }
     if respawn {
@@ -126,6 +136,7 @@ fn run_traced(mut sim: MobiEyesSim, victims: &[u32], respawn: bool) -> Trace {
             break;
         }
         sim.step(false);
+        sim.cluster().check_invariants();
     }
     let converged_after =
         converged_after.unwrap_or_else(|| panic!("no reconvergence within {MAX_RECOVERY} ticks"));
@@ -149,7 +160,7 @@ fn assert_process_crash_recovery(seed: u64, recovery: RecoveryKind, rebalance_ti
     let children: Rc<RefCell<Vec<Option<Child>>>> = Rc::new(RefCell::new(Vec::new()));
     let mut conns = Vec::with_capacity(PARTITIONS);
     for p in 0..PARTITIONS {
-        let (child, endpoint) = spawn_service(p, 0);
+        let (child, endpoint) = spawn_service(p);
         conns.push(connect(&endpoint, p as u32));
         children.borrow_mut().push(Some(child));
     }
@@ -167,10 +178,8 @@ fn assert_process_crash_recovery(seed: u64, recovery: RecoveryKind, rebalance_ti
     });
     if recovery == RecoveryKind::Respawn {
         let respawn_slots = Rc::clone(&children);
-        let incarnation = RefCell::new(0u64);
         sim.set_respawn_hook(move |p| {
-            *incarnation.borrow_mut() += 1;
-            let (child, endpoint) = spawn_service(p as usize, *incarnation.borrow());
+            let (child, endpoint) = spawn_service(p as usize);
             let conn = connect(&endpoint, p);
             respawn_slots.borrow_mut()[p as usize] = Some(child);
             Some(conn)
