@@ -11,9 +11,9 @@
 //! shared agent network, same counters (summed across the per-partition
 //! sinks), same event log.
 
-use crate::handle::{PartitionHandle, RemotePartition};
+use crate::handle::{fan_out, fan_out_mut, PartitionHandle, RemotePartition};
 use crate::partition::{plan_bounds, PartitionMap, Router};
-use crate::wire::InitConfig;
+use crate::wire::{InitConfig, PartitionOp, ReplyPayload};
 use mobieyes_core::server::{srv_keys, Net};
 use mobieyes_core::LogRecord;
 use mobieyes_core::{
@@ -22,7 +22,7 @@ use mobieyes_core::{
 use mobieyes_geo::{CellId, LinearMotion, QueryRegion};
 use mobieyes_net::TransportError;
 use mobieyes_net::{
-    BaseStationLayout, FaultPlan, FramedConn, LockstepTransport, MessageMeter, NetworkSim, NodeId,
+    BaseStationLayout, FaultPlan, FramedConn, LockstepTransport, MessageMeter, NodeId,
     SocketTransport, Transport, WireSized,
 };
 use mobieyes_store::{self as store, Store, StoreConfig};
@@ -52,15 +52,17 @@ impl WireSized for Envelope {
     }
 }
 
-/// The server↔server link substrate: the same deterministic [`NetworkSim`]
-/// the agents use, so `FaultPlan` drop/duplication applies to handoff
-/// traffic too. Only the uplink path is used (partitions are peers; there
-/// is no broadcast tier between them).
-#[deprecated(
-    since = "0.6.0",
-    note = "the bus is behind the `Transport` trait now; use `LockstepTransport<Envelope>`"
-)]
-pub type Bus = NetworkSim<Envelope, Envelope>;
+/// The ownership-table sync op for a fence's new bounds.
+fn install_bounds(generation: u64, bounds: &[usize]) -> PartitionOp {
+    let bounds = bounds.iter().map(|&b| b as u64).collect();
+    PartitionOp::InstallBounds { generation, bounds }
+}
+
+/// The RQI export op for a fence's reassigned flat cells.
+fn export_cells(flats: &[usize], generation: u64) -> PartitionOp {
+    let flats = flats.iter().map(|&f| f as u32).collect();
+    PartitionOp::ExportCells { flats, generation }
+}
 
 /// A deferred install owned by the coordinator (the single server keeps
 /// these per-focal on its own pending table).
@@ -471,15 +473,9 @@ impl ClusterServer {
     /// remote, in one pipelined probe round — the load signal behind the
     /// rebalance telemetry. Zeroes for a dead peer.
     pub fn load_signals(&self) -> Vec<(u64, u64, u64)> {
-        let probes: Vec<_> = self
-            .partitions
-            .iter()
-            .map(|p| p.start_load_signal())
-            .collect();
-        self.partitions
-            .iter()
-            .zip(probes)
-            .map(|(p, pr)| p.finish_load_signal(pr))
+        fan_out(&self.partitions, || PartitionOp::LoadSignal)
+            .into_iter()
+            .map(ReplyPayload::into_load)
             .collect()
     }
 
@@ -582,15 +578,12 @@ impl ClusterServer {
                 if self.partition_down(p as u32) {
                     return 0;
                 }
-                match &self.partitions[p] {
-                    PartitionHandle::Local(server) => match &self.stores[p] {
-                        Some(st) => {
-                            st.checkpoint(server.checkpoint_bytes());
-                            st.next_seq()
-                        }
-                        None => 0,
-                    },
-                    h @ PartitionHandle::Remote(_) => h.checkpoint_remote().unwrap_or(0),
+                match (&mut self.partitions[p], &self.stores[p]) {
+                    (PartitionHandle::Local(server), Some(st)) => {
+                        st.checkpoint(server.checkpoint_bytes());
+                        st.next_seq()
+                    }
+                    (h, _) => h.call(PartitionOp::Checkpoint, None).into_u64(),
                 }
             })
             .collect()
@@ -606,13 +599,14 @@ impl ClusterServer {
             if self.partition_down(p as u32) {
                 continue;
             }
-            match &self.partitions[p] {
-                PartitionHandle::Local(_) => {
-                    if let Some(st) = &self.stores[p] {
-                        out.extend(st.trajectory(oid, t0, t1).unwrap_or_default());
-                    }
+            match (&self.partitions[p], &self.stores[p]) {
+                (PartitionHandle::Local(_), Some(st)) => {
+                    out.extend(st.trajectory(oid, t0, t1).unwrap_or_default())
                 }
-                h @ PartitionHandle::Remote(_) => out.extend(h.trajectory_remote(oid, t0, t1)),
+                (h, _) => out.extend(
+                    h.read(PartitionOp::Trajectory { oid, t0, t1 })
+                        .into_motions(),
+                ),
             }
         }
         store::sort_dedupe_motions(&mut out);
@@ -676,30 +670,17 @@ impl ClusterServer {
     }
 
     pub fn num_queries(&self) -> usize {
-        let probes: Vec<_> = self
-            .partitions
-            .iter()
-            .map(|p| p.start_num_queries())
-            .collect();
-        self.partitions
-            .iter()
-            .zip(probes)
-            .map(|(p, pr)| p.finish_num_queries(pr))
+        fan_out(&self.partitions, || PartitionOp::NumQueries)
+            .into_iter()
+            .map(|n| n.into_u64() as usize)
             .sum()
     }
 
     /// All installed query ids, ascending (merged across partitions).
     pub fn query_ids(&self) -> Vec<QueryId> {
-        let probes: Vec<_> = self
-            .partitions
-            .iter()
-            .map(|p| p.start_query_ids())
-            .collect();
-        let mut ids: Vec<QueryId> = self
-            .partitions
-            .iter()
-            .zip(probes)
-            .flat_map(|(p, pr)| p.finish_query_ids(pr))
+        let mut ids: Vec<QueryId> = fan_out(&self.partitions, || PartitionOp::QueryIds)
+            .into_iter()
+            .flat_map(ReplyPayload::into_qids)
             .collect();
         ids.sort_unstable();
         ids
@@ -710,14 +691,17 @@ impl ClusterServer {
     /// [`Self::fetch_query_result`].
     pub fn query_result(&self, qid: QueryId) -> Option<&BTreeSet<ObjectId>> {
         self.query_home(qid)
-            .and_then(|h| self.partitions[h].query_result_ref(qid))
+            .and_then(|h| self.partitions[h].local()?.query_result(qid))
     }
 
     /// Owned copy of a query's result set, local or remote: one call to
     /// the query's home partition.
     pub fn fetch_query_result(&self, qid: QueryId) -> Option<Vec<ObjectId>> {
-        self.query_home(qid)
-            .and_then(|h| self.partitions[h].query_result_owned(qid))
+        self.query_home(qid).and_then(|h| {
+            self.partitions[h]
+                .read(PartitionOp::QueryResult(qid))
+                .into_result_set()
+        })
     }
 
     pub fn query_focal(&self, qid: QueryId) -> Option<ObjectId> {
@@ -754,7 +738,15 @@ impl ClusterServer {
         max_vel: f64,
         insert: bool,
     ) {
-        self.partitions[p].refresh_focal_motion(oid, motion, max_vel, insert);
+        self.partitions[p].call(
+            PartitionOp::RefreshFocalMotion {
+                oid,
+                motion,
+                max_vel,
+                insert,
+            },
+            None,
+        );
         if insert && self.focal_home(oid).is_none() {
             // Any recorded home is down: its rows died with it.
             self.dir.remove_focal(oid);
@@ -773,12 +765,21 @@ impl ClusterServer {
         expires_at: Option<f64>,
         net: &mut Net,
     ) {
-        self.partitions[p].complete_install_at(qid, focal, region, filter, expires_at, net);
+        let op = PartitionOp::CompleteInstall {
+            qid,
+            focal,
+            region,
+            filter,
+            expires_at,
+        };
+        self.partitions[p].call(op, Some(net));
         self.dir.add_query(qid, focal);
     }
 
     fn remove_query_at(&mut self, p: usize, qid: QueryId, net: &mut Net) -> bool {
-        let removed = self.partitions[p].remove_query(qid, net);
+        let removed = self.partitions[p]
+            .call(PartitionOp::RemoveQuery(qid), Some(net))
+            .into_bool();
         if removed {
             self.dir.remove_query(qid);
         }
@@ -793,32 +794,12 @@ impl ClusterServer {
         let live: Vec<bool> = (0..self.partitions.len())
             .map(|p| !self.partition_down(p as u32))
             .collect();
-        let probes: Vec<_> = self
-            .partitions
-            .iter()
-            .map(|h| h.start_focal_ids())
-            .collect();
-        let focal_ids: Vec<Vec<ObjectId>> = self
-            .partitions
-            .iter()
-            .zip(probes)
-            .map(|(h, pr)| h.finish_focal_ids(pr))
-            .collect();
-        let probes: Vec<_> = self
-            .partitions
-            .iter()
-            .map(|h| h.start_query_ids())
-            .collect();
-        let query_ids: Vec<Vec<QueryId>> = self
-            .partitions
-            .iter()
-            .zip(probes)
-            .map(|(h, pr)| h.finish_query_ids(pr))
-            .collect();
+        let focal_ids = fan_out(&self.partitions, || PartitionOp::FocalIds);
+        let query_ids = fan_out(&self.partitions, || PartitionOp::QueryIds);
         let mut dir = HomeDirectory::default();
         for (p, oids) in focal_ids.into_iter().enumerate() {
             if live[p] {
-                for oid in oids {
+                for oid in oids.into_oids() {
                     dir.home_focal(oid, p as u32);
                 }
             }
@@ -828,15 +809,19 @@ impl ClusterServer {
             if !live[p] {
                 continue;
             }
-            for qid in qids {
+            for qid in qids.into_qids() {
                 match self.registry.get(&qid) {
                     Some(r) => dir.add_query(qid, r.focal),
-                    None => unknown.push((p, qid, self.partitions[p].start_query_focal(qid))),
+                    None => unknown.push((
+                        p,
+                        qid,
+                        self.partitions[p].start(PartitionOp::QueryFocal(qid)),
+                    )),
                 }
             }
         }
         for (p, qid, pr) in unknown {
-            if let Some(focal) = self.partitions[p].finish_query_focal(pr) {
+            if let Some(focal) = self.partitions[p].finish(pr).into_opt_oid() {
                 dir.add_query(qid, focal);
             }
         }
@@ -866,13 +851,13 @@ impl ClusterServer {
                 self.orphans.push(env);
                 continue;
             }
-            self.partitions[env.to as usize].apply_cluster_msg(&env.msg);
             if let ClusterMsg::MigrateFocal { oid, queries, .. } = &env.msg {
                 self.dir.home_focal(*oid, env.to);
                 for q in queries {
                     self.dir.add_query(q.spec.qid, *oid);
                 }
             }
+            self.partitions[env.to as usize].call(PartitionOp::Deliver(env.msg), None);
         }
         debug_assert!(self
             .partitions
@@ -969,14 +954,12 @@ impl ClusterServer {
     /// Removes every query whose lifetime has ended; ascending query-id
     /// order across all partitions, like the single server's SQT scan.
     pub fn expire_queries(&mut self, now: f64, net: &mut Net) -> Vec<QueryId> {
-        let probes: Vec<_> = self
-            .partitions
-            .iter()
-            .map(|p| p.start_expired_query_ids(now))
-            .collect();
         let mut expired: Vec<(usize, QueryId)> = Vec::new();
-        for (p, (s, pr)) in self.partitions.iter().zip(probes).enumerate() {
-            expired.extend(s.finish_expired_query_ids(pr).into_iter().map(|q| (p, q)));
+        for (p, qids) in fan_out(&self.partitions, || PartitionOp::ExpiredQueryIds(now))
+            .into_iter()
+            .enumerate()
+        {
+            expired.extend(qids.into_qids().into_iter().map(|q| (p, q)));
         }
         expired.sort_unstable_by_key(|&(_, q)| q);
         let mut out = Vec::with_capacity(expired.len());
@@ -998,14 +981,9 @@ impl ClusterServer {
     /// the single server's ascending-flat-index scan.
     pub fn heartbeat(&mut self, now: f64, net: &mut Net) {
         self.now = now;
-        let probes: Vec<_> = self
-            .partitions
-            .iter_mut()
-            .map(|p| p.start_set_time(now))
-            .collect();
-        for (p, (s, pr)) in self.partitions.iter().zip(probes).enumerate() {
-            s.finish_unit(pr, "SetTime");
-            self.sinks[p].set_now(now);
+        fan_out_mut(&mut self.partitions, || PartitionOp::SetTime(now));
+        for sink in &self.sinks {
+            sink.set_now(now);
         }
         if !self.config.fault_tolerant() || now - self.last_heartbeat < self.config.heartbeat_secs {
             self.merge_sinks();
@@ -1015,27 +993,29 @@ impl ClusterServer {
         self.sinks[0].incr(srv_keys::HEARTBEATS);
 
         // (1) Lease expiry, ascending object id across all partitions.
-        let probes: Vec<_> = self
-            .partitions
-            .iter()
-            .map(|p| p.start_expired_leases())
-            .collect();
         let mut expired: Vec<(usize, ObjectId, Vec<QueryId>)> = Vec::new();
-        for (p, (s, pr)) in self.partitions.iter().zip(probes).enumerate() {
-            expired.extend(
-                s.finish_expired_leases(pr)
-                    .into_iter()
-                    .map(|(o, q)| (p, o, q)),
-            );
+        for (p, leases) in fan_out(&self.partitions, || PartitionOp::ExpiredLeases)
+            .into_iter()
+            .enumerate()
+        {
+            expired.extend(leases.into_leases().into_iter().map(|(o, q)| (p, o, q)));
         }
         expired.sort_unstable_by_key(|&(_, oid, _)| oid);
         for (home, oid, qids) in expired {
             self.sinks[home].incr(srv_keys::LEASES_EXPIRED);
             self.sinks[home].event(EventKind::LeaseExpired { oid: oid.0 as u64 });
             for qid in qids {
-                let (region, filter, expires_at) = self.partitions[home]
-                    .reinstall_info(qid)
-                    .expect("leased query in SQT");
+                // A leased query is in its home's SQT; `None` means the
+                // home died under this heartbeat, and the failover fence
+                // re-enters its queries.
+                let reinstall = self.partitions[home].read(PartitionOp::ReinstallInfo(qid));
+                let Some((region, filter, expires_at)) = reinstall.into_reinstall() else {
+                    debug_assert!(
+                        self.partition_down(home as u32),
+                        "leased query {qid:?} missing from its live home"
+                    );
+                    continue;
+                };
                 self.remove_query_at(home, qid, net);
                 self.pump_bus();
                 self.pending.entry(oid).or_default().push(PendingInstall {
@@ -1057,15 +1037,10 @@ impl ClusterServer {
         // (3) Digest beacon over the shared epoch (partitions share the
         // sequencer, so bumping through partition 0 is global).
         let epoch = self.bump_shared_epoch();
-        let probes: Vec<_> = self
-            .partitions
-            .iter()
-            .map(|p| p.start_digest_cells())
+        let cell_digests = fan_out(&self.partitions, || PartitionOp::DigestCells)
+            .into_iter()
+            .flat_map(ReplyPayload::into_digests)
             .collect();
-        let mut cell_digests = Vec::new();
-        for (s, pr) in self.partitions.iter().zip(probes) {
-            cell_digests.extend(s.finish_digest_cells(pr));
-        }
         let sent = net.broadcast_all(Downlink::Heartbeat {
             epoch,
             cell_digests,
@@ -1076,7 +1051,10 @@ impl ClusterServer {
 
     fn bump_shared_epoch(&mut self) -> u64 {
         let p = self.first_live();
-        self.partitions[p].bump_epoch_for_coordinator()
+        let h = &mut self.partitions[p];
+        // A peer that died on the bump answers 0; the epoch view stands in.
+        let epoch = h.call(PartitionOp::BumpEpoch, None).into_u64();
+        epoch.max(h.current_epoch())
     }
 
     /// Drains and processes all pending uplink messages. Call once per
@@ -1116,14 +1094,15 @@ impl ClusterServer {
         if self.config.fault_tolerant() {
             let oid = ObjectId(from.0);
             if let Some(home) = self.focal_home(oid) {
-                self.partitions[home].renew_lease(oid);
+                self.partitions[home].call(PartitionOp::RenewLease(oid), None);
             }
         }
         match msg {
             Uplink::VelocityReport { oid, motion } => {
                 debug_assert_eq!(from.0, oid.0);
                 let target = self.focal_home(oid).unwrap_or(primary);
-                self.partitions[target].on_velocity_report(oid, motion, net);
+                self.partitions[target]
+                    .call(PartitionOp::VelocityReport { oid, motion }, Some(net));
                 self.pump_bus();
             }
             Uplink::CellChange {
@@ -1139,7 +1118,12 @@ impl ClusterServer {
                 self.sinks[primary].incr(srv_keys::RESULT_UPDATES);
                 for (qid, is_target) in changes {
                     if let Some(home) = self.query_home(qid) {
-                        self.partitions[home].apply_result_change(qid, oid, is_target, net);
+                        let op = PartitionOp::ResultChange {
+                            qid,
+                            oid,
+                            is_target,
+                        };
+                        self.partitions[home].call(op, Some(net));
                     }
                 }
             }
@@ -1151,7 +1135,13 @@ impl ClusterServer {
             } => {
                 self.sinks[primary].incr(srv_keys::RESULT_UPDATES);
                 if let Some(home) = self.focal_home(focal) {
-                    self.partitions[home].apply_group_result_update(oid, focal, mask, targets, net);
+                    let op = PartitionOp::GroupResultUpdate {
+                        oid,
+                        focal,
+                        mask,
+                        targets,
+                    };
+                    self.partitions[home].call(op, Some(net));
                 }
             }
             Uplink::PositionReply {
@@ -1197,7 +1187,8 @@ impl ClusterServer {
         let new_home = self.map.owner_of_cell(&self.config.grid, new_cell) as usize;
         if let Some(home) = self.focal_home(oid) {
             if home != new_home {
-                if let Some(m) = self.partitions[home].extract_focal(oid) {
+                let extracted = self.partitions[home].call(PartitionOp::ExtractFocal(oid), None);
+                if let Some(m) = extracted.into_opt_cluster() {
                     let queries = self.dir.remove_focal(oid);
                     self.bus
                         .send(
@@ -1218,11 +1209,22 @@ impl ClusterServer {
                 }
             }
             if let Some(h) = self.focal_home(oid) {
-                self.partitions[h].apply_cell_change_focal(oid, new_cell, motion, net);
+                let op = PartitionOp::CellChangeFocal {
+                    oid,
+                    new_cell,
+                    motion,
+                };
+                self.partitions[h].call(op, Some(net));
                 self.pump_bus();
             }
         }
-        self.partitions[new_home].apply_cell_change_fresh(oid, prev_cell, new_cell, motion, net);
+        let op = PartitionOp::CellChangeFresh {
+            oid,
+            prev_cell,
+            new_cell,
+            motion,
+        };
+        self.partitions[new_home].call(op, Some(net));
         self.pump_bus();
     }
 
@@ -1295,9 +1297,10 @@ impl ClusterServer {
         // as "no prior state" instead of panicking — the lease teardown
         // reclaims the queries.
         let prior = home0.and_then(|h| {
+            let h = &self.partitions[h];
             Some((
-                self.partitions[h].focal_motion(oid)?,
-                self.partitions[h].focal_queries(oid)?,
+                h.read(PartitionOp::FocalMotion(oid)).into_opt_motion()?,
+                h.read(PartitionOp::FocalQueries(oid)).into_opt_qids()?,
             ))
         });
         let target = home0.unwrap_or_else(|| {
@@ -1312,7 +1315,11 @@ impl ClusterServer {
                 let home = home0.expect("prior implies a home");
                 let reported: Vec<CellId> = queries
                     .iter()
-                    .filter_map(|q| self.partitions[home].query_cell(*q))
+                    .filter_map(|&q| {
+                        self.partitions[home]
+                            .read(PartitionOp::QueryCell(q))
+                            .into_opt_cell()
+                    })
                     .collect();
                 let stale_cell = reported.iter().any(|&c| c != cell);
                 if stale_cell {
@@ -1324,7 +1331,8 @@ impl ClusterServer {
                         .incr(srv_keys::CELL_CHANGES);
                     self.cell_change(oid, prev, cell, motion, net);
                 } else if motion.tm > old_motion.tm {
-                    self.partitions[home].on_velocity_report(oid, motion, net);
+                    self.partitions[home]
+                        .call(PartitionOp::VelocityReport { oid, motion }, Some(net));
                     self.pump_bus();
                 }
             }
@@ -1334,20 +1342,26 @@ impl ClusterServer {
             // the deltas in ascending query order across all partitions.
             let mut stale: Vec<(usize, QueryId)> = Vec::new();
             for (p, s) in self.partitions.iter_mut().enumerate() {
-                stale.extend(s.purge_object(oid).into_iter().map(|q| (p, q)));
+                let purged = s.call(PartitionOp::PurgeObject(oid), None).into_qids();
+                stale.extend(purged.into_iter().map(|q| (p, q)));
             }
             stale.sort_unstable_by_key(|&(_, q)| q);
             self.sinks[0].add(srv_keys::STALE_RESULTS_PURGED, stale.len() as u64);
             for (home, qid) in stale {
-                self.partitions[home].deliver_result_delta(qid, oid, false, net);
+                let op = PartitionOp::DeliverResultDelta {
+                    qid,
+                    oid,
+                    entered: false,
+                };
+                self.partitions[home].call(op, Some(net));
             }
         }
         self.complete_pending(oid, net);
         if let Some(home) = self.focal_home(oid) {
-            self.partitions[home].focal_reassert(oid, net);
+            self.partitions[home].call(PartitionOp::FocalReassert(oid), Some(net));
         }
         let owner = self.map.owner_of_cell(&self.config.grid, cell) as usize;
-        self.partitions[owner].cell_sync_reply(oid, cell, net);
+        self.partitions[owner].call(PartitionOp::CellSyncReply { oid, cell }, Some(net));
     }
 
     /// Soft-state refresh against an object's full local view, walked in
@@ -1366,7 +1380,12 @@ impl ClusterServer {
         let mut stale = 0u64;
         for (home, qid) in qids {
             let is_target = mentioned.get(&qid).copied().unwrap_or(false);
-            if self.partitions[home].lqt_reconcile_one(qid, oid, is_target) {
+            let op = PartitionOp::LqtReconcileOne {
+                qid,
+                oid,
+                is_target,
+            };
+            if self.partitions[home].call(op, None).into_bool() {
                 if !is_target && !mentioned.contains_key(&qid) {
                     stale += 1;
                 }
@@ -1375,7 +1394,8 @@ impl ClusterServer {
         }
         self.sinks[0].add(srv_keys::STALE_RESULTS_PURGED, stale);
         for (home, qid, entered) in deltas {
-            self.partitions[home].deliver_result_delta(qid, oid, entered, net);
+            let op = PartitionOp::DeliverResultDelta { qid, oid, entered };
+            self.partitions[home].call(op, Some(net));
         }
     }
 
@@ -1439,14 +1459,9 @@ impl ClusterServer {
         self.bump_shared_epoch();
         let generation = self.map.install(&new_bounds);
         self.journal_bounds(generation, &new_bounds);
-        let probes: Vec<_> = self
-            .partitions
-            .iter_mut()
-            .map(|h| h.start_install_bounds(generation, &new_bounds))
-            .collect();
-        for (h, pr) in self.partitions.iter().zip(probes) {
-            h.finish_unit(pr, "InstallBounds");
-        }
+        fan_out_mut(&mut self.partitions, || {
+            install_bounds(generation, &new_bounds)
+        });
 
         // (4a) RQI rows of every reassigned cell, batched per (from, to)
         // pair in ascending partition order. Every exporter cuts its rows
@@ -1466,16 +1481,13 @@ impl ClusterServer {
         let cells_moved: usize = moves.values().map(Vec::len).sum();
         let mut export_probes = Vec::with_capacity(moves.len());
         for (&(from, _), flats) in &moves {
-            export_probes
-                .push(self.partitions[from as usize].start_export_cells(flats, generation));
+            let op = export_cells(flats, generation);
+            export_probes.push(self.partitions[from as usize].start_mut(op));
         }
         let mut exports = Vec::with_capacity(moves.len());
-        for ((&(from, to), _), pr) in moves.iter().zip(export_probes) {
-            exports.push((
-                from,
-                to,
-                self.partitions[from as usize].finish_export_cells(pr),
-            ));
+        for (&(from, to), pr) in moves.keys().zip(export_probes) {
+            let msg = self.partitions[from as usize].finish(pr).into_opt_cluster();
+            exports.push((from, to, msg));
         }
         let mut aborted = false;
         for (from, to, msg) in exports {
@@ -1492,26 +1504,17 @@ impl ClusterServer {
         // border handoff. Census and extraction are pipelined rounds.
         if !aborted {
             self.pump_bus();
-            let probes: Vec<_> = self
-                .partitions
-                .iter()
-                .map(|h| h.start_focal_ids())
-                .collect();
-            let ids: Vec<Vec<ObjectId>> = self
-                .partitions
-                .iter()
-                .zip(probes)
-                .map(|(h, pr)| h.finish_focal_ids(pr))
-                .collect();
+            let ids = fan_out(&self.partitions, || PartitionOp::FocalIds);
             let mut anchors = Vec::new();
-            for (p, oids) in ids.iter().enumerate() {
-                for &oid in oids {
-                    anchors.push((p, oid, self.partitions[p].start_focal_anchor_cell(oid)));
+            for (p, oids) in ids.into_iter().enumerate() {
+                for oid in oids.into_oids() {
+                    let pr = self.partitions[p].start(PartitionOp::FocalAnchorCell(oid));
+                    anchors.push((p, oid, pr));
                 }
             }
             let mut rehome: Vec<(ObjectId, usize, usize)> = Vec::new();
             for (p, oid, pr) in anchors {
-                let Some(cell) = self.partitions[p].finish_focal_anchor_cell(pr) else {
+                let Some(cell) = self.partitions[p].finish(pr).into_opt_cell() else {
                     continue;
                 };
                 let to = self.map.owner_of_cell(&self.config.grid, cell) as usize;
@@ -1522,12 +1525,13 @@ impl ClusterServer {
             rehome.sort_unstable();
             let mut extract_probes = Vec::with_capacity(rehome.len());
             for &(oid, from, _) in &rehome {
-                extract_probes.push(self.partitions[from].start_extract_focal(oid));
+                let op = PartitionOp::ExtractFocal(oid);
+                extract_probes.push(self.partitions[from].start_mut(op));
             }
             let mut migrations = Vec::with_capacity(rehome.len());
-            for (&(oid, from, to), pr) in rehome.iter().zip(extract_probes) {
-                let _ = oid;
-                migrations.push((from, to, self.partitions[from].finish_extract_focal(pr)));
+            for (&(_, from, to), pr) in rehome.iter().zip(extract_probes) {
+                let msg = self.partitions[from].finish(pr).into_opt_cluster();
+                migrations.push((from, to, msg));
             }
             for (from, to, msg) in migrations {
                 if let Some(msg) = msg {
@@ -1542,14 +1546,7 @@ impl ClusterServer {
         // Hygiene: stubs whose monitoring region left a shrunk span.
         if !aborted {
             self.pump_bus();
-            let probes: Vec<_> = self
-                .partitions
-                .iter_mut()
-                .map(|h| h.start_prune_stubs())
-                .collect();
-            for (h, pr) in self.partitions.iter().zip(probes) {
-                h.finish_unit(pr, "PruneStubs");
-            }
+            fan_out_mut(&mut self.partitions, || PartitionOp::PruneStubs);
         }
         self.rebuild_directory();
         self.bus.set_fault(saved_fault);
@@ -1608,6 +1605,14 @@ impl ClusterServer {
     /// Partitions currently fenced off as dead, ascending.
     pub fn dead_partitions(&self) -> Vec<u32> {
         self.dead.iter().copied().collect()
+    }
+
+    /// Why partition `p`'s remote handle died, if it did: a peer-death
+    /// error for a crashed process, [`TransportError::Protocol`] for a
+    /// peer that broke the RPC protocol. `None` for live and in-process
+    /// partitions.
+    pub fn crash_cause(&self, p: usize) -> Option<TransportError> {
+        self.partitions[p].crashed()
     }
 
     /// Installs (or clears) the per-RPC read deadline on every remote
@@ -1757,7 +1762,7 @@ impl ClusterServer {
         self.journal_bounds(generation, &new_bounds);
         for (p, &live) in alive.iter().enumerate() {
             if live {
-                self.partitions[p].install_bounds(generation, &new_bounds);
+                self.partitions[p].call(install_bounds(generation, &new_bounds), None);
             }
         }
 
@@ -1782,7 +1787,7 @@ impl ClusterServer {
                         .unwrap_or_else(|| self.config.grid.cell_of(motion.pos));
                     let to = self.map.owner_of_cell(&self.config.grid, anchor) as usize;
                     if alive[to] {
-                        self.partitions[to].apply_cluster_msg(&env.msg);
+                        self.partitions[to].call(PartitionOp::Deliver(env.msg), None);
                         rerouted += 1;
                     } else {
                         dropped += 1;
@@ -1793,7 +1798,8 @@ impl ClusterServer {
                 | ClusterMsg::StubRemove { .. } => {
                     for (p, &live) in alive.iter().enumerate() {
                         if live {
-                            self.partitions[p].apply_cluster_msg(&env.msg);
+                            let op = PartitionOp::Deliver(env.msg.clone());
+                            self.partitions[p].call(op, None);
                         }
                     }
                     rerouted += 1;
@@ -1838,7 +1844,7 @@ impl ClusterServer {
                 epoch,
                 cells,
             };
-            self.partitions[to as usize].apply_cluster_msg(&msg);
+            self.partitions[to as usize].call(PartitionOp::Deliver(msg), None);
         }
         self.bus_sink
             .add(rec_keys::CELLS_FAILED_OVER, cells_reassigned as u64);
@@ -1850,13 +1856,13 @@ impl ClusterServer {
         // (result digests stay comparable with an uncrashed run).
         for (p, &live) in alive.iter().enumerate() {
             if live {
-                self.partitions[p].prune_stubs();
+                self.partitions[p].call(PartitionOp::PruneStubs, None);
             }
         }
         let mut present: BTreeSet<QueryId> = BTreeSet::new();
         for (p, &live) in alive.iter().enumerate() {
             if live {
-                present.extend(self.partitions[p].query_ids());
+                present.extend(self.partitions[p].read(PartitionOp::QueryIds).into_qids());
             }
         }
         for q in self.pending.values() {
@@ -1940,8 +1946,13 @@ impl ClusterServer {
                 self.pump_bus();
                 // Restore the journaled result set quietly: the members
                 // were already announced to the agent before the crash.
-                for m in members {
-                    self.partitions[home].lqt_reconcile_one(qid, m, true);
+                for oid in members {
+                    let op = PartitionOp::LqtReconcileOne {
+                        qid,
+                        oid,
+                        is_target: true,
+                    };
+                    self.partitions[home].call(op, None);
                 }
                 queries_replayed += 1;
             }
@@ -2104,12 +2115,12 @@ impl ClusterServer {
         self.journal_bounds(generation, &new_bounds);
         for q in 0..n {
             if !self.dead.contains(&(q as u32)) {
-                self.partitions[q].install_bounds(generation, &new_bounds);
+                self.partitions[q].call(install_bounds(generation, &new_bounds), None);
             }
         }
         // The respawned slot starts at time zero; align it before any
         // lease-stamped rows arrive.
-        self.partitions[p as usize].set_time(self.now);
+        self.partitions[p as usize].call(PartitionOp::SetTime(self.now), None);
 
         // (3) Transfer every reassigned cell verbatim from its interim
         // owner (always live — failover only assigns to survivors).
@@ -2127,7 +2138,9 @@ impl ClusterServer {
         let mut readopted = 0usize;
         for ((from, to), flats) in moves {
             readopted += flats.len();
-            if let Some(msg) = self.partitions[from as usize].export_cells(&flats, generation) {
+            let op = export_cells(&flats, generation);
+            let msg = self.partitions[from as usize].call(op, None);
+            if let Some(msg) = msg.into_opt_cluster() {
                 self.fence_send(from, Envelope { to, msg });
             }
         }
@@ -2140,8 +2153,9 @@ impl ClusterServer {
             if self.dead.contains(&(q as u32)) {
                 continue;
             }
-            for oid in h.focal_ids() {
-                let Some(cell) = h.focal_anchor_cell(oid) else {
+            for oid in h.read(PartitionOp::FocalIds).into_oids() {
+                let anchor = h.read(PartitionOp::FocalAnchorCell(oid));
+                let Some(cell) = anchor.into_opt_cell() else {
                     continue;
                 };
                 let to = self.map.owner_of_cell(&self.config.grid, cell) as usize;
@@ -2152,7 +2166,8 @@ impl ClusterServer {
         }
         rehome.sort_unstable();
         for (oid, from, to) in rehome {
-            if let Some(m) = self.partitions[from].extract_focal(oid) {
+            let extracted = self.partitions[from].call(PartitionOp::ExtractFocal(oid), None);
+            if let Some(m) = extracted.into_opt_cluster() {
                 self.fence_send(
                     from as u32,
                     Envelope {
@@ -2167,7 +2182,7 @@ impl ClusterServer {
         // (5) Hygiene on the shrunk survivors.
         for q in 0..n {
             if !self.dead.contains(&(q as u32)) {
-                self.partitions[q].prune_stubs();
+                self.partitions[q].call(PartitionOp::PruneStubs, None);
             }
         }
         self.rebuild_directory();
@@ -2191,14 +2206,20 @@ impl ClusterServer {
     /// rows. The directory may still point at a crashed partition whose
     /// fence has not run; once fenced, no entry may name it.
     pub fn check_invariants(&self) {
-        for s in &self.partitions {
-            s.check_invariants();
-        }
+        fan_out(&self.partitions, || PartitionOp::CheckInvariants);
         let mut seen_f: BTreeSet<ObjectId> = BTreeSet::new();
         let mut seen_q: BTreeSet<QueryId> = BTreeSet::new();
         for (p, s) in self.partitions.iter().enumerate() {
-            let focals: BTreeSet<ObjectId> = s.focal_ids().into_iter().collect();
-            let queries: BTreeSet<QueryId> = s.query_ids().into_iter().collect();
+            let focals: BTreeSet<ObjectId> = s
+                .read(PartitionOp::FocalIds)
+                .into_oids()
+                .into_iter()
+                .collect();
+            let queries: BTreeSet<QueryId> = s
+                .read(PartitionOp::QueryIds)
+                .into_qids()
+                .into_iter()
+                .collect();
             for &f in &focals {
                 assert!(seen_f.insert(f), "focal {f:?} homed on two partitions");
             }
@@ -2369,7 +2390,7 @@ mod tests {
     fn failover_splits_and_respawn_restores_bounds() {
         let (mut cluster, mut net) = test_cluster(4);
         let cell = cluster.config.grid.cell_from_flat(250);
-        cluster.partitions[2].apply_cluster_msg(&migrate_msg(7, 3, cell));
+        cluster.partitions[2].call(PartitionOp::Deliver(migrate_msg(7, 3, cell)), None);
         assert_eq!(cluster.map.bounds_snapshot(), vec![0, 100, 200, 300, 400]);
         cluster.kill_partition(2);
         cluster.recover_crashed(&mut net).expect("fence");

@@ -1,47 +1,62 @@
 //! Uniform handle over a partition server, local or remote.
 //!
-//! The coordinator drives every partition through [`PartitionHandle`],
-//! which mirrors the [`Server`] methods the decomposition uses. A
-//! [`Local`](PartitionHandle::Local) handle owns the `Server` in-process
-//! (the original deployment, zero overhead); a
-//! [`Remote`](PartitionHandle::Remote) handle speaks the
-//! [`wire`](crate::wire) RPC protocol to a partition process over a framed
-//! socket connection.
+//! The coordinator drives every partition through [`PartitionHandle`]'s
+//! one generic surface: [`start`](PartitionHandle::start) (read-only ops,
+//! through `&self`) and [`start_mut`](PartitionHandle::start_mut) (quiet
+//! ops, which emit no downlink) put a [`PartitionOp`] in flight and
+//! [`finish`](PartitionHandle::finish) collects its [`ReplyPayload`];
+//! [`read`](PartitionHandle::read) is the read-only pair back to back, and
+//! [`call`](PartitionHandle::call) runs one serial op of any kind,
+//! downlinks included. Callers take typed values out of the payload with
+//! its `into_*` accessors.
 //!
-//! Remote calls are strictly serialized (one request, one reply), carry
-//! the coordinator's epoch view as a floor, and fold the reply's epoch
-//! back with a `fetch_max` — reproducing the shared atomic epoch counter
-//! of the in-process deployment. Side effects come back in the reply: bus
-//! envelopes are buffered until [`PartitionHandle::take_outbox`] (so the
-//! coordinator's pump discipline is unchanged) and downlink traffic is
-//! replayed onto the real agent network in emission order.
+//! A [`Local`](PartitionHandle::Local) handle owns the `Server` in-process
+//! and runs the partition service's own interpreter on it directly — no
+//! encoding, and downlinks land on the coordinator's real agent network.
+//! A [`Remote`](PartitionHandle::Remote) handle ships the same op over the
+//! [`wire`](crate::wire) RPC protocol to a partition process.
 //!
-//! A mid-run transport failure on a remote handle is *classified*: a
-//! failure that means the peer is gone ([`TransportError::is_peer_death`]
-//! — closed socket, stream I/O error, or an elapsed read deadline) marks
-//! the handle dead and makes it permanently inert — every subsequent call
-//! returns a neutral fallback (empty, `None`, `false`) and nothing more
+//! Remote calls are strictly serialized per handle (one request, one
+//! reply), carry the coordinator's epoch view as a floor, and fold the
+//! reply's epoch back with a `fetch_max` — reproducing the shared atomic
+//! epoch counter of the in-process deployment. Side effects come back in
+//! the reply: bus envelopes are buffered until
+//! [`PartitionHandle::take_outbox`] (so the coordinator's pump discipline
+//! is unchanged) and downlink traffic is replayed onto the real agent
+//! network in emission order. Requests to *different* partitions may be
+//! in flight together: a fan-out starts every probe before finishing any,
+//! so all partition processes compute concurrently.
+//!
+//! A mid-run failure on a remote handle marks it dead and makes it
+//! permanently inert: every later op answers its neutral fallback
+//! ([`PartitionOp::fallback`] — empty, `None`, `false`) and nothing more
 //! goes on the wire, so the coordinator's fan-out discipline survives the
 //! loss and can notice via [`PartitionHandle::crashed`] at the next tick
-//! boundary and fence the partition off. A dead handle is never reused:
-//! a late reply from a half-executed primitive would desynchronize the
-//! connection, so recovery always builds a fresh handle (respawn) or
-//! abandons the slot (failover). Protocol violations — wrong payload
-//! shape, undecodable reply — still panic: they are bugs, not crashes.
+//! boundary and fence the partition off. A failure that means the peer is
+//! gone ([`TransportError::is_peer_death`] — closed socket, stream I/O
+//! error, or an elapsed read deadline) is recorded as it is. Anything
+//! else the wire hands back — an undecodable reply frame, a payload that
+//! does not fit the op, downlinks from an op that emits none — is a
+//! protocol violation: it latches the handle dead with
+//! [`TransportError::Protocol`] naming the op, so a misbehaving peer is
+//! fenced like a crashed one instead of panicking the coordinator. A dead
+//! handle is never reused: a late reply from a half-executed primitive
+//! would desynchronize the connection, so recovery always builds a fresh
+//! handle (respawn) or abandons the slot (failover).
 
-use crate::wire::{self, NetAction, PartitionOp, PartitionReply, ReplyPayload};
+use crate::serve;
+use crate::wire::{self, variant_name, NetAction, PartitionOp, PartitionReply, ReplyPayload};
 use mobieyes_core::server::Net;
-use mobieyes_core::{ClusterMsg, Filter, ObjectId, QueryId, Server};
-use mobieyes_geo::{CellId, LinearMotion, QueryRegion};
+use mobieyes_core::{ClusterMsg, Server};
 use mobieyes_net::{FramedConn, NodeId, StationId, TransportError};
 use std::cell::RefCell;
-use std::collections::BTreeSet;
+use std::mem::discriminant;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// A connected remote partition: the coordinator side of the RPC link.
 pub struct RemotePartition {
-    /// This partition's index (labels panic messages).
+    /// This partition's index (labels protocol-violation reports).
     partition: u32,
     conn: RefCell<FramedConn>,
     /// Coordinator-side view of the shared epoch, updated from every
@@ -53,11 +68,8 @@ pub struct RemotePartition {
     /// Reusable request/reply frame scratch — steady-state RPC traffic
     /// allocates no per-call buffers.
     frame: RefCell<Vec<u8>>,
-    /// Set on the first transport failure classified as peer death; the
-    /// handle is inert from then on (see module docs).
-    dead: std::cell::Cell<bool>,
-    /// The failure that killed the handle, for the coordinator's
-    /// detection report.
+    /// The failure that killed the handle (first one wins); the handle is
+    /// inert once set (see module docs).
     death: RefCell<Option<TransportError>>,
 }
 
@@ -71,7 +83,6 @@ impl RemotePartition {
             epoch,
             outbox: RefCell::new(Vec::new()),
             frame: RefCell::new(Vec::new()),
-            dead: std::cell::Cell::new(false),
             death: RefCell::new(None),
         }
     }
@@ -88,24 +99,24 @@ impl RemotePartition {
         self.death.borrow().clone()
     }
 
-    /// Classifies a transport failure: peer death marks the handle dead
-    /// (first error wins) and returns `None`; anything else is a protocol
-    /// bug and panics.
-    fn classify<T>(&self, e: TransportError, what: &str) -> Option<T> {
-        if e.is_peer_death() {
-            self.dead.set(true);
-            self.death.borrow_mut().get_or_insert(e);
-            None
+    /// Latches the handle dead. Peer death is kept as it is; any other
+    /// failure is a protocol violation and is recorded as one, naming the
+    /// op it broke.
+    fn fail(&self, op: &PartitionOp, e: TransportError) {
+        let e = if e.is_peer_death() {
+            e
         } else {
-            panic!("remote partition {} {what}: {e}", self.partition)
-        }
+            TransportError::Protocol(format!(
+                "partition {} answering {}: {e}",
+                self.partition,
+                variant_name(op)
+            ))
+        };
+        self.death.borrow_mut().get_or_insert(e);
     }
 
     /// Request half of an RPC: encodes and flushes the op without waiting
-    /// for the reply. Every send must be paired with exactly one
-    /// [`Self::recv_reply`] on this handle, in send order — the service
-    /// loop replies strictly in request order, so requests to *different*
-    /// partitions can be in flight simultaneously (pipelined fan-out).
+    /// for the reply.
     fn send_request(&self, op: &PartitionOp) -> Result<(), TransportError> {
         let floor = self.epoch.load(Ordering::Relaxed);
         let mut frame = self.frame.borrow_mut();
@@ -132,73 +143,11 @@ impl RemotePartition {
         Ok((net, payload))
     }
 
-    /// One strictly-serialized RPC round trip. The reply's outbox is
-    /// buffered; the net actions and payload are returned to the caller.
-    fn try_call(&self, op: &PartitionOp) -> Result<(Vec<NetAction>, ReplyPayload), TransportError> {
+    /// One unclassified round trip, for the setup ops whose failure the
+    /// caller reports itself.
+    fn try_call(&self, op: &PartitionOp) -> Result<ReplyPayload, TransportError> {
         self.send_request(op)?;
-        self.recv_reply()
-    }
-
-    /// Pipelined request half with crash classification: `true` means the
-    /// request is on the wire and a reply must be collected; `false`
-    /// means the handle is (or just became) dead and no reply will come.
-    fn send_classified(&self, op: &PartitionOp) -> bool {
-        if self.dead.get() {
-            return false;
-        }
-        match self.send_request(op) {
-            Ok(()) => true,
-            Err(e) => self.classify::<()>(e, "failed sending a request").is_some(),
-        }
-    }
-
-    /// Collects the reply to a previously pipelined quiet (no-downlink)
-    /// op; `None` means the peer died before replying.
-    fn recv_quiet_classified(&self, what: &str) -> Option<ReplyPayload> {
-        match self.recv_reply() {
-            Ok((net, payload)) => {
-                debug_assert!(net.is_empty(), "op unexpectedly emitted downlinks");
-                Some(payload)
-            }
-            Err(e) => self.classify(e, what),
-        }
-    }
-
-    /// One classified round trip: `None` means the peer is dead (already,
-    /// or it died during this call) and the op did not take effect.
-    fn call(&self, op: PartitionOp) -> Option<(Vec<NetAction>, ReplyPayload)> {
-        if self.dead.get() {
-            return None;
-        }
-        match self.try_call(&op) {
-            Ok(result) => Some(result),
-            Err(e) => self.classify(e, "failed executing a request"),
-        }
-    }
-
-    /// A call whose op must not emit downlink traffic.
-    fn call_quiet(&self, op: PartitionOp) -> Option<ReplyPayload> {
-        let (net, payload) = self.call(op)?;
-        debug_assert!(net.is_empty(), "op unexpectedly emitted downlinks");
-        Some(payload)
-    }
-
-    /// A call whose downlink side effects are replayed onto `net`.
-    fn call_net(&self, op: PartitionOp, net: &mut Net) -> Option<ReplyPayload> {
-        let (actions, payload) = self.call(op)?;
-        replay_net(actions, net);
-        Some(payload)
-    }
-
-    /// A fire-and-forget quiet call: the payload is ignored and a dead
-    /// peer makes the whole op a no-op.
-    fn call_quiet_void(&self, op: PartitionOp) {
-        let _ = self.call_quiet(op);
-    }
-
-    /// A fire-and-forget call with downlink replay; no-op on a dead peer.
-    fn call_net_void(&self, op: PartitionOp, net: &mut Net) {
-        let _ = self.call_net(op, net);
+        self.recv_reply().map(|(_, payload)| payload)
     }
 
     /// Configures the peer; must be the first call on the connection.
@@ -209,6 +158,53 @@ impl RemotePartition {
     /// Sends the shutdown op; the peer replies and exits its service loop.
     pub fn shutdown(&self) -> Result<(), TransportError> {
         self.try_call(&PartitionOp::Shutdown).map(|_| ())
+    }
+
+    /// Puts `op` on the wire. A dead handle (already, or dying on the
+    /// send) resolves at once to the op's fallback.
+    fn start(&self, op: PartitionOp) -> Probe {
+        if self.death.borrow().is_some() {
+            return Probe::Ready(op.fallback());
+        }
+        match self.send_request(&op) {
+            Ok(()) => Probe::Pending(op),
+            Err(e) => {
+                self.fail(&op, e);
+                Probe::Ready(op.fallback())
+            }
+        }
+    }
+
+    /// Reads the reply to a started `op` and checks it fits the op; the
+    /// reply's downlinks are replayed onto `net`. Every failure latches
+    /// the handle dead and answers the op's fallback.
+    fn finish(&self, op: PartitionOp, net: Option<&mut Net>) -> ReplyPayload {
+        let fallback = op.fallback();
+        if self.death.borrow().is_some() {
+            return fallback;
+        }
+        let (actions, payload) = match self.recv_reply() {
+            Ok(reply) => reply,
+            Err(e) => {
+                self.fail(&op, e);
+                return fallback;
+            }
+        };
+        let violation = if discriminant(&payload) != discriminant(&fallback) {
+            Some(format!("wrong reply payload {}", variant_name(&payload)))
+        } else if net.is_none() && !actions.is_empty() {
+            Some(format!("{} downlinks from a quiet op", actions.len()))
+        } else {
+            None
+        };
+        if let Some(violation) = violation {
+            self.fail(&op, TransportError::Protocol(violation));
+            return fallback;
+        }
+        if let Some(net) = net {
+            replay_net(actions, net);
+        }
+        payload
     }
 }
 
@@ -224,30 +220,20 @@ fn replay_net(actions: Vec<NetAction>, net: &mut Net) {
     }
 }
 
-fn bad_payload(what: &str, got: &ReplyPayload) -> ! {
-    panic!("remote partition returned wrong payload for {what}: {got:?}")
-}
-
-/// A two-phase partition probe: the request half of a pipelined RPC.
+/// A partition op in flight: the request half of a pipelined RPC.
 ///
-/// Local handles resolve immediately ([`Probe::Ready`]); remote handles
-/// have the request on the wire ([`Probe::Pending`]) and the partition
-/// process computes while the coordinator issues probes to its siblings.
 /// Every started probe MUST be finished (on the same handle, in start
 /// order) — an unconsumed reply would desynchronize the connection.
-/// A probe against a dead remote ([`Probe::Dead`]) put nothing on the
-/// wire; finishing it yields the op's neutral fallback.
 #[must_use = "every started probe must be finished on its handle"]
-pub enum Probe<T> {
-    Ready(T),
-    Pending,
-    Dead,
+pub enum Probe {
+    /// The reply is already here: a local handle ran the op, or a dead
+    /// remote stood in with the op's fallback.
+    Ready(ReplyPayload),
+    /// The request is on the wire; finishing reads its reply.
+    Pending(PartitionOp),
 }
 
 /// A partition server the coordinator can drive: in-process or over RPC.
-///
-/// Method-for-method mirror of the [`Server`] surface the coordinator's
-/// decomposition uses; see the `Server` docs for semantics.
 pub enum PartitionHandle {
     Local(Box<Server>),
     Remote(RemotePartition),
@@ -255,9 +241,9 @@ pub enum PartitionHandle {
 
 impl PartitionHandle {
     /// The in-process server, for APIs that expose partition internals
-    /// (`ClusterServer::partition`, store rebuilds). `None` for remote
-    /// handles — those surfaces are lockstep-only, and callers must
-    /// handle the miss instead of aborting the coordinator.
+    /// (`ClusterServer::partition`, borrowed result sets, store rebuilds).
+    /// `None` for remote handles — those surfaces are lockstep-only, and
+    /// callers must handle the miss instead of aborting the coordinator.
     pub fn local(&self) -> Option<&Server> {
         match self {
             PartitionHandle::Local(s) => Some(s),
@@ -265,566 +251,77 @@ impl PartitionHandle {
         }
     }
 
-    fn local_mut(&mut self) -> Option<&mut Server> {
+    fn remote(&self) -> Option<&RemotePartition> {
         match self {
-            PartitionHandle::Local(s) => Some(s),
-            PartitionHandle::Remote(_) => None,
+            PartitionHandle::Local(_) => None,
+            PartitionHandle::Remote(r) => Some(r),
         }
     }
 
     pub fn is_remote(&self) -> bool {
-        matches!(self, PartitionHandle::Remote(_))
+        self.remote().is_some()
     }
 
-    // --- pipelined probes -------------------------------------------------
-    //
-    // The coordinator's fan-out loops (directory rebuilds, digest beacons,
-    // lease scans) hit every partition with the same read-only op. Issued
-    // through `try_call` those serialize: each remote round trip completes
-    // before the next request leaves. The start/finish pairs below put
-    // every request on the wire first, so all partition processes compute
-    // concurrently, then collect replies in the same order — identical
-    // results, one round-trip latency instead of N.
-
-    /// Generic request half: local handles compute inline; a dead remote
-    /// resolves to the fallback at finish time without touching the wire.
-    fn start<T>(&self, op: PartitionOp, local: impl FnOnce(&Server) -> T) -> Probe<T> {
+    /// Request half of a read-only op, through a shared borrow. A local
+    /// handle answers at once; a remote one puts the request on the wire.
+    /// Ops that change the partition go through [`Self::start_mut`].
+    pub fn start(&self, op: PartitionOp) -> Probe {
         match self {
-            PartitionHandle::Local(s) => Probe::Ready(local(s)),
-            PartitionHandle::Remote(r) => {
-                if r.send_classified(&op) {
-                    Probe::Pending
-                } else {
-                    Probe::Dead
-                }
-            }
+            PartitionHandle::Local(s) => Probe::Ready(serve::read(s, &op)),
+            PartitionHandle::Remote(r) => r.start(op),
         }
     }
 
-    /// Generic reply half for quiet (no-downlink) ops. A probe whose peer
-    /// is dead — at start, or dying before the reply — yields `T`'s
-    /// default, the op's neutral fallback.
-    fn finish<T: Default>(
-        &self,
-        probe: Probe<T>,
-        what: &str,
-        parse: impl FnOnce(ReplyPayload) -> T,
-    ) -> T {
+    /// Request half of a quiet op: one that may change the partition but
+    /// emits no downlink. A local handle runs it at once. Ops that emit
+    /// downlinks go through [`Self::call`], which finishes them onto the
+    /// network they were started with.
+    pub fn start_mut(&mut self, op: PartitionOp) -> Probe {
+        match self {
+            PartitionHandle::Local(s) => Probe::Ready(serve::execute_quiet(s, op)),
+            PartitionHandle::Remote(r) => r.start(op),
+        }
+    }
+
+    /// Reply half of a probe from [`Self::start`] or [`Self::start_mut`]:
+    /// the op's reply, or its fallback when the peer is dead or broke the
+    /// protocol.
+    pub fn finish(&self, probe: Probe) -> ReplyPayload {
         match probe {
-            Probe::Ready(v) => v,
-            Probe::Dead => T::default(),
-            Probe::Pending => match self {
-                PartitionHandle::Local(_) => unreachable!("pending probe on a local handle"),
-                PartitionHandle::Remote(r) => match r.recv_quiet_classified(what) {
-                    Some(payload) => parse(payload),
-                    None => T::default(),
-                },
+            Probe::Ready(payload) => payload,
+            Probe::Pending(op) => self
+                .remote()
+                .expect("only remote handles leave a probe pending")
+                .finish(op, None),
+        }
+    }
+
+    /// One serial op of any kind. Its downlinks land on `net` — directly
+    /// from a local handle, replayed from a remote reply; ops that emit
+    /// none may pass `None`.
+    pub fn call(&mut self, op: PartitionOp, net: Option<&mut Net>) -> ReplyPayload {
+        match (self, net) {
+            (PartitionHandle::Local(s), Some(net)) => serve::execute(s, net, op),
+            (PartitionHandle::Local(s), None) => serve::execute_quiet(s, op),
+            (PartitionHandle::Remote(r), net) => match r.start(op) {
+                Probe::Ready(payload) => payload,
+                Probe::Pending(op) => r.finish(op, net),
             },
         }
     }
 
-    pub fn start_num_queries(&self) -> Probe<usize> {
-        self.start(PartitionOp::NumQueries, |s| s.num_queries())
+    /// One serial read-only op: [`Self::start`] then [`Self::finish`].
+    pub fn read(&self, op: PartitionOp) -> ReplyPayload {
+        self.finish(self.start(op))
     }
 
-    pub fn finish_num_queries(&self, probe: Probe<usize>) -> usize {
-        self.finish(probe, "NumQueries", |p| match p {
-            ReplyPayload::U64(n) => n as usize,
-            other => bad_payload("NumQueries", &other),
-        })
-    }
-
-    pub fn start_query_ids(&self) -> Probe<Vec<QueryId>> {
-        self.start(PartitionOp::QueryIds, |s| s.query_ids().collect())
-    }
-
-    pub fn finish_query_ids(&self, probe: Probe<Vec<QueryId>>) -> Vec<QueryId> {
-        self.finish(probe, "QueryIds", |p| match p {
-            ReplyPayload::Qids(qids) => qids,
-            other => bad_payload("QueryIds", &other),
-        })
-    }
-
-    pub fn start_query_focal(&self, qid: QueryId) -> Probe<Option<ObjectId>> {
-        self.start(PartitionOp::QueryFocal(qid), |s| s.query_focal(qid))
-    }
-
-    pub fn finish_query_focal(&self, probe: Probe<Option<ObjectId>>) -> Option<ObjectId> {
-        self.finish(probe, "QueryFocal", |p| match p {
-            ReplyPayload::OptOid(oid) => oid,
-            other => bad_payload("QueryFocal", &other),
-        })
-    }
-
-    pub fn start_expired_query_ids(&self, now: f64) -> Probe<Vec<QueryId>> {
-        self.start(PartitionOp::ExpiredQueryIds(now), |s| {
-            s.expired_query_ids(now)
-        })
-    }
-
-    pub fn finish_expired_query_ids(&self, probe: Probe<Vec<QueryId>>) -> Vec<QueryId> {
-        self.finish(probe, "ExpiredQueryIds", |p| match p {
-            ReplyPayload::Qids(qids) => qids,
-            other => bad_payload("ExpiredQueryIds", &other),
-        })
-    }
-
-    pub fn start_expired_leases(&self) -> Probe<Vec<(ObjectId, Vec<QueryId>)>> {
-        self.start(PartitionOp::ExpiredLeases, |s| s.expired_leases())
-    }
-
-    pub fn finish_expired_leases(
-        &self,
-        probe: Probe<Vec<(ObjectId, Vec<QueryId>)>>,
-    ) -> Vec<(ObjectId, Vec<QueryId>)> {
-        self.finish(probe, "ExpiredLeases", |p| match p {
-            ReplyPayload::Leases(leases) => leases,
-            other => bad_payload("ExpiredLeases", &other),
-        })
-    }
-
-    pub fn start_digest_cells(&self) -> Probe<Vec<(CellId, u64)>> {
-        self.start(PartitionOp::DigestCells, |s| s.digest_cells())
-    }
-
-    pub fn finish_digest_cells(&self, probe: Probe<Vec<(CellId, u64)>>) -> Vec<(CellId, u64)> {
-        self.finish(probe, "DigestCells", |p| match p {
-            ReplyPayload::Digests(digests) => digests,
-            other => bad_payload("DigestCells", &other),
-        })
-    }
-
-    /// Mutating fan-out op (clock distribution): local handles apply
-    /// immediately, remote requests pipeline.
-    pub fn start_set_time(&mut self, now: f64) -> Probe<()> {
-        match self {
-            PartitionHandle::Local(s) => {
-                s.set_time(now);
-                Probe::Ready(())
-            }
-            PartitionHandle::Remote(r) => {
-                if r.send_classified(&PartitionOp::SetTime(now)) {
-                    Probe::Pending
-                } else {
-                    Probe::Dead
-                }
-            }
-        }
-    }
-
-    pub fn finish_unit(&self, probe: Probe<()>, what: &str) {
-        self.finish(probe, what, |p| match p {
-            ReplyPayload::Unit => (),
-            other => bad_payload(what, &other),
-        })
-    }
-
-    pub fn set_time(&mut self, now: f64) {
-        match self {
-            PartitionHandle::Local(s) => s.set_time(now),
-            PartitionHandle::Remote(r) => r.call_quiet_void(PartitionOp::SetTime(now)),
-        }
-    }
-
-    pub fn renew_lease(&mut self, oid: ObjectId) {
-        match self {
-            PartitionHandle::Local(s) => s.renew_lease(oid),
-            PartitionHandle::Remote(r) => r.call_quiet_void(PartitionOp::RenewLease(oid)),
-        }
-    }
-
-    pub fn on_velocity_report(&mut self, oid: ObjectId, motion: LinearMotion, net: &mut Net) {
-        match self {
-            PartitionHandle::Local(s) => s.on_velocity_report(oid, motion, net),
-            PartitionHandle::Remote(r) => {
-                r.call_net_void(PartitionOp::VelocityReport { oid, motion }, net);
-            }
-        }
-    }
-
-    pub fn apply_cell_change_focal(
-        &mut self,
-        oid: ObjectId,
-        new_cell: CellId,
-        motion: LinearMotion,
-        net: &mut Net,
-    ) {
-        match self {
-            PartitionHandle::Local(s) => s.apply_cell_change_focal(oid, new_cell, motion, net),
-            PartitionHandle::Remote(r) => {
-                r.call_net_void(
-                    PartitionOp::CellChangeFocal {
-                        oid,
-                        new_cell,
-                        motion,
-                    },
-                    net,
-                );
-            }
-        }
-    }
-
-    pub fn apply_cell_change_fresh(
-        &mut self,
-        oid: ObjectId,
-        prev_cell: CellId,
-        new_cell: CellId,
-        motion: LinearMotion,
-        net: &mut Net,
-    ) {
-        match self {
-            PartitionHandle::Local(s) => {
-                s.apply_cell_change_fresh(oid, prev_cell, new_cell, motion, net)
-            }
-            PartitionHandle::Remote(r) => {
-                r.call_net_void(
-                    PartitionOp::CellChangeFresh {
-                        oid,
-                        prev_cell,
-                        new_cell,
-                        motion,
-                    },
-                    net,
-                );
-            }
-        }
-    }
-
-    pub fn apply_result_change(
-        &mut self,
-        qid: QueryId,
-        oid: ObjectId,
-        is_target: bool,
-        net: &mut Net,
-    ) -> bool {
-        match self {
-            PartitionHandle::Local(s) => s.apply_result_change(qid, oid, is_target, net),
-            PartitionHandle::Remote(r) => {
-                match r.call_net(
-                    PartitionOp::ResultChange {
-                        qid,
-                        oid,
-                        is_target,
-                    },
-                    net,
-                ) {
-                    Some(ReplyPayload::Bool(b)) => b,
-                    None => false,
-                    Some(other) => bad_payload("ResultChange", &other),
-                }
-            }
-        }
-    }
-
-    pub fn apply_group_result_update(
-        &mut self,
-        oid: ObjectId,
-        focal: ObjectId,
-        mask: u64,
-        targets: u64,
-        net: &mut Net,
-    ) {
-        match self {
-            PartitionHandle::Local(s) => {
-                s.apply_group_result_update(oid, focal, mask, targets, net)
-            }
-            PartitionHandle::Remote(r) => {
-                r.call_net_void(
-                    PartitionOp::GroupResultUpdate {
-                        oid,
-                        focal,
-                        mask,
-                        targets,
-                    },
-                    net,
-                );
-            }
-        }
-    }
-
-    pub fn refresh_focal_motion(
-        &mut self,
-        oid: ObjectId,
-        motion: LinearMotion,
-        max_vel: f64,
-        insert: bool,
-    ) {
-        match self {
-            PartitionHandle::Local(s) => s.refresh_focal_motion(oid, motion, max_vel, insert),
-            PartitionHandle::Remote(r) => {
-                r.call_quiet_void(PartitionOp::RefreshFocalMotion {
-                    oid,
-                    motion,
-                    max_vel,
-                    insert,
-                });
-            }
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    pub fn complete_install_at(
-        &mut self,
-        qid: QueryId,
-        focal: ObjectId,
-        region: QueryRegion,
-        filter: Arc<Filter>,
-        expires_at: Option<f64>,
-        net: &mut Net,
-    ) {
-        match self {
-            PartitionHandle::Local(s) => {
-                s.complete_install_at(qid, focal, region, filter, expires_at, net)
-            }
-            PartitionHandle::Remote(r) => {
-                r.call_net_void(
-                    PartitionOp::CompleteInstall {
-                        qid,
-                        focal,
-                        region,
-                        filter,
-                        expires_at,
-                    },
-                    net,
-                );
-            }
-        }
-    }
-
-    pub fn remove_query(&mut self, qid: QueryId, net: &mut Net) -> bool {
-        match self {
-            PartitionHandle::Local(s) => s.remove_query(qid, net),
-            PartitionHandle::Remote(r) => match r.call_net(PartitionOp::RemoveQuery(qid), net) {
-                Some(ReplyPayload::Bool(b)) => b,
-                None => false,
-                Some(other) => bad_payload("RemoveQuery", &other),
-            },
-        }
-    }
-
-    pub fn expired_query_ids(&self, now: f64) -> Vec<QueryId> {
-        match self {
-            PartitionHandle::Local(s) => s.expired_query_ids(now),
-            PartitionHandle::Remote(r) => match r.call_quiet(PartitionOp::ExpiredQueryIds(now)) {
-                Some(ReplyPayload::Qids(qids)) => qids,
-                None => Vec::new(),
-                Some(other) => bad_payload("ExpiredQueryIds", &other),
-            },
-        }
-    }
-
-    pub fn expired_leases(&self) -> Vec<(ObjectId, Vec<QueryId>)> {
-        match self {
-            PartitionHandle::Local(s) => s.expired_leases(),
-            PartitionHandle::Remote(r) => match r.call_quiet(PartitionOp::ExpiredLeases) {
-                Some(ReplyPayload::Leases(leases)) => leases,
-                None => Vec::new(),
-                Some(other) => bad_payload("ExpiredLeases", &other),
-            },
-        }
-    }
-
-    pub fn reinstall_info(&self, qid: QueryId) -> Option<(QueryRegion, Arc<Filter>, Option<f64>)> {
-        match self {
-            PartitionHandle::Local(s) => s.reinstall_info(qid),
-            PartitionHandle::Remote(r) => match r.call_quiet(PartitionOp::ReinstallInfo(qid)) {
-                Some(ReplyPayload::Reinstall(info)) => {
-                    info.map(|(region, filter, expires_at)| (region, Arc::new(filter), expires_at))
-                }
-                None => None,
-                Some(other) => bad_payload("ReinstallInfo", &other),
-            },
-        }
-    }
-
-    pub fn digest_cells(&self) -> Vec<(CellId, u64)> {
-        match self {
-            PartitionHandle::Local(s) => s.digest_cells(),
-            PartitionHandle::Remote(r) => match r.call_quiet(PartitionOp::DigestCells) {
-                Some(ReplyPayload::Digests(digests)) => digests,
-                None => Vec::new(),
-                Some(other) => bad_payload("DigestCells", &other),
-            },
-        }
-    }
-
-    pub fn bump_epoch_for_coordinator(&mut self) -> u64 {
-        match self {
-            PartitionHandle::Local(s) => s.bump_epoch_for_coordinator(),
-            PartitionHandle::Remote(r) => match r.call_quiet(PartitionOp::BumpEpoch) {
-                Some(ReplyPayload::U64(epoch)) => epoch,
-                None => r.epoch.load(Ordering::Relaxed),
-                Some(other) => bad_payload("BumpEpoch", &other),
-            },
-        }
-    }
-
+    /// The partition's epoch. Exact for remote handles too under strict
+    /// serialization: every epoch movement flows through a reply the
+    /// coordinator's view already folded in.
     pub fn current_epoch(&self) -> u64 {
         match self {
             PartitionHandle::Local(s) => s.current_epoch(),
-            // Exact under strict serialization: every epoch movement flows
-            // through a reply this view already folded in.
             PartitionHandle::Remote(r) => r.epoch.load(Ordering::Relaxed),
-        }
-    }
-
-    pub fn num_queries(&self) -> usize {
-        match self {
-            PartitionHandle::Local(s) => s.num_queries(),
-            PartitionHandle::Remote(r) => match r.call_quiet(PartitionOp::NumQueries) {
-                Some(ReplyPayload::U64(n)) => n as usize,
-                None => 0,
-                Some(other) => bad_payload("NumQueries", &other),
-            },
-        }
-    }
-
-    pub fn query_ids(&self) -> Vec<QueryId> {
-        match self {
-            PartitionHandle::Local(s) => s.query_ids().collect(),
-            PartitionHandle::Remote(r) => match r.call_quiet(PartitionOp::QueryIds) {
-                Some(ReplyPayload::Qids(qids)) => qids,
-                None => Vec::new(),
-                Some(other) => bad_payload("QueryIds", &other),
-            },
-        }
-    }
-
-    /// Borrowed result set — in-process handles only (the lockstep
-    /// deployments every existing caller runs). `None` for remote
-    /// handles; those callers use [`Self::query_result_owned`].
-    pub fn query_result_ref(&self, qid: QueryId) -> Option<&BTreeSet<ObjectId>> {
-        match self {
-            PartitionHandle::Local(s) => s.query_result(qid),
-            PartitionHandle::Remote(_) => None,
-        }
-    }
-
-    /// Owned copy of a query's result set, local or remote.
-    pub fn query_result_owned(&self, qid: QueryId) -> Option<Vec<ObjectId>> {
-        match self {
-            PartitionHandle::Local(s) => s.query_result(qid).map(|r| r.iter().copied().collect()),
-            PartitionHandle::Remote(r) => match r.call_quiet(PartitionOp::QueryResult(qid)) {
-                Some(ReplyPayload::ResultSet(oids)) => oids,
-                None => None,
-                Some(other) => bad_payload("QueryResult", &other),
-            },
-        }
-    }
-
-    pub fn query_focal(&self, qid: QueryId) -> Option<ObjectId> {
-        match self {
-            PartitionHandle::Local(s) => s.query_focal(qid),
-            PartitionHandle::Remote(r) => match r.call_quiet(PartitionOp::QueryFocal(qid)) {
-                Some(ReplyPayload::OptOid(oid)) => oid,
-                None => None,
-                Some(other) => bad_payload("QueryFocal", &other),
-            },
-        }
-    }
-
-    pub fn focal_motion(&self, oid: ObjectId) -> Option<LinearMotion> {
-        match self {
-            PartitionHandle::Local(s) => s.focal_motion(oid),
-            PartitionHandle::Remote(r) => match r.call_quiet(PartitionOp::FocalMotion(oid)) {
-                Some(ReplyPayload::OptMotion(m)) => m,
-                None => None,
-                Some(other) => bad_payload("FocalMotion", &other),
-            },
-        }
-    }
-
-    pub fn focal_queries(&self, oid: ObjectId) -> Option<Vec<QueryId>> {
-        match self {
-            PartitionHandle::Local(s) => s.focal_queries(oid),
-            PartitionHandle::Remote(r) => match r.call_quiet(PartitionOp::FocalQueries(oid)) {
-                Some(ReplyPayload::OptQids(qids)) => qids,
-                None => None,
-                Some(other) => bad_payload("FocalQueries", &other),
-            },
-        }
-    }
-
-    pub fn query_cell(&self, qid: QueryId) -> Option<CellId> {
-        match self {
-            PartitionHandle::Local(s) => s.query_cell(qid),
-            PartitionHandle::Remote(r) => match r.call_quiet(PartitionOp::QueryCell(qid)) {
-                Some(ReplyPayload::OptCell(cell)) => cell,
-                None => None,
-                Some(other) => bad_payload("QueryCell", &other),
-            },
-        }
-    }
-
-    pub fn purge_object(&mut self, oid: ObjectId) -> Vec<QueryId> {
-        match self {
-            PartitionHandle::Local(s) => s.purge_object(oid),
-            PartitionHandle::Remote(r) => match r.call_quiet(PartitionOp::PurgeObject(oid)) {
-                Some(ReplyPayload::Qids(qids)) => qids,
-                None => Vec::new(),
-                Some(other) => bad_payload("PurgeObject", &other),
-            },
-        }
-    }
-
-    pub fn deliver_result_delta(
-        &mut self,
-        qid: QueryId,
-        oid: ObjectId,
-        entered: bool,
-        net: &mut Net,
-    ) {
-        match self {
-            PartitionHandle::Local(s) => s.deliver_result_delta(qid, oid, entered, net),
-            PartitionHandle::Remote(r) => {
-                r.call_net_void(PartitionOp::DeliverResultDelta { qid, oid, entered }, net);
-            }
-        }
-    }
-
-    pub fn lqt_reconcile_one(&mut self, qid: QueryId, oid: ObjectId, is_target: bool) -> bool {
-        match self {
-            PartitionHandle::Local(s) => s.lqt_reconcile_one(qid, oid, is_target),
-            PartitionHandle::Remote(r) => {
-                match r.call_quiet(PartitionOp::LqtReconcileOne {
-                    qid,
-                    oid,
-                    is_target,
-                }) {
-                    Some(ReplyPayload::Bool(b)) => b,
-                    None => false,
-                    Some(other) => bad_payload("LqtReconcileOne", &other),
-                }
-            }
-        }
-    }
-
-    pub fn focal_reassert(&mut self, oid: ObjectId, net: &mut Net) {
-        match self {
-            PartitionHandle::Local(s) => s.focal_reassert(oid, net),
-            PartitionHandle::Remote(r) => {
-                r.call_net_void(PartitionOp::FocalReassert(oid), net);
-            }
-        }
-    }
-
-    pub fn cell_sync_reply(&mut self, oid: ObjectId, cell: CellId, net: &mut Net) {
-        match self {
-            PartitionHandle::Local(s) => s.cell_sync_reply(oid, cell, net),
-            PartitionHandle::Remote(r) => {
-                r.call_net_void(PartitionOp::CellSyncReply { oid, cell }, net);
-            }
-        }
-    }
-
-    pub fn extract_focal(&mut self, oid: ObjectId) -> Option<ClusterMsg> {
-        match self {
-            PartitionHandle::Local(s) => s.extract_focal(oid),
-            PartitionHandle::Remote(r) => match r.call_quiet(PartitionOp::ExtractFocal(oid)) {
-                Some(ReplyPayload::OptCluster(msg)) => msg,
-                None => None,
-                Some(other) => bad_payload("ExtractFocal", &other),
-            },
         }
     }
 
@@ -835,255 +332,13 @@ impl PartitionHandle {
         }
     }
 
-    pub fn apply_cluster_msg(&mut self, msg: &ClusterMsg) {
-        match self {
-            PartitionHandle::Local(s) => s.apply_cluster_msg(msg),
-            PartitionHandle::Remote(r) => {
-                r.call_quiet_void(PartitionOp::Deliver(msg.clone()));
-            }
-        }
-    }
-
-    pub fn check_invariants(&self) {
-        match self {
-            PartitionHandle::Local(s) => s.check_invariants(),
-            PartitionHandle::Remote(r) => {
-                r.call_quiet_void(PartitionOp::CheckInvariants);
-            }
-        }
-    }
-
-    // --- rebalance / recovery surface ------------------------------------
-    //
-    // The fence's per-partition rounds (ownership sync, RQI export, focal
-    // census, stub prune) are fan-outs like the read probes above, so each
-    // op also has a pipelined start/finish pair: all partition processes
-    // cut their state concurrently and the coordinator collects replies in
-    // start order.
-
-    /// Pipelined ownership-table sync: local handles share the
-    /// coordinator's table and resolve immediately.
-    pub fn start_install_bounds(&mut self, generation: u64, bounds: &[usize]) -> Probe<()> {
-        match self {
-            PartitionHandle::Local(_) => Probe::Ready(()),
-            PartitionHandle::Remote(r) => {
-                let bounds = bounds.iter().map(|&b| b as u64).collect();
-                if r.send_classified(&PartitionOp::InstallBounds { generation, bounds }) {
-                    Probe::Pending
-                } else {
-                    Probe::Dead
-                }
-            }
-        }
-    }
-
-    pub fn start_export_cells(
-        &mut self,
-        flats: &[usize],
-        generation: u64,
-    ) -> Probe<Option<ClusterMsg>> {
-        match self {
-            PartitionHandle::Local(s) => Probe::Ready(s.export_cells(flats, generation)),
-            PartitionHandle::Remote(r) => {
-                let flats = flats.iter().map(|&f| f as u32).collect();
-                if r.send_classified(&PartitionOp::ExportCells { flats, generation }) {
-                    Probe::Pending
-                } else {
-                    Probe::Dead
-                }
-            }
-        }
-    }
-
-    pub fn finish_export_cells(&self, probe: Probe<Option<ClusterMsg>>) -> Option<ClusterMsg> {
-        self.finish(probe, "ExportCells", |p| match p {
-            ReplyPayload::OptCluster(msg) => msg,
-            other => bad_payload("ExportCells", &other),
-        })
-    }
-
-    pub fn start_focal_ids(&self) -> Probe<Vec<ObjectId>> {
-        self.start(PartitionOp::FocalIds, |s| s.focal_ids())
-    }
-
-    pub fn finish_focal_ids(&self, probe: Probe<Vec<ObjectId>>) -> Vec<ObjectId> {
-        self.finish(probe, "FocalIds", |p| match p {
-            ReplyPayload::Oids(oids) => oids,
-            other => bad_payload("FocalIds", &other),
-        })
-    }
-
-    pub fn start_focal_anchor_cell(&self, oid: ObjectId) -> Probe<Option<CellId>> {
-        self.start(PartitionOp::FocalAnchorCell(oid), |s| {
-            s.focal_anchor_cell(oid)
-        })
-    }
-
-    pub fn finish_focal_anchor_cell(&self, probe: Probe<Option<CellId>>) -> Option<CellId> {
-        self.finish(probe, "FocalAnchorCell", |p| match p {
-            ReplyPayload::OptCell(cell) => cell,
-            other => bad_payload("FocalAnchorCell", &other),
-        })
-    }
-
-    pub fn start_extract_focal(&mut self, oid: ObjectId) -> Probe<Option<ClusterMsg>> {
-        match self {
-            PartitionHandle::Local(s) => Probe::Ready(s.extract_focal(oid)),
-            PartitionHandle::Remote(r) => {
-                if r.send_classified(&PartitionOp::ExtractFocal(oid)) {
-                    Probe::Pending
-                } else {
-                    Probe::Dead
-                }
-            }
-        }
-    }
-
-    pub fn finish_extract_focal(&self, probe: Probe<Option<ClusterMsg>>) -> Option<ClusterMsg> {
-        self.finish(probe, "ExtractFocal", |p| match p {
-            ReplyPayload::OptCluster(msg) => msg,
-            other => bad_payload("ExtractFocal", &other),
-        })
-    }
-
-    pub fn start_prune_stubs(&mut self) -> Probe<()> {
-        match self {
-            PartitionHandle::Local(s) => {
-                s.prune_stubs();
-                Probe::Ready(())
-            }
-            PartitionHandle::Remote(r) => {
-                if r.send_classified(&PartitionOp::PruneStubs) {
-                    Probe::Pending
-                } else {
-                    Probe::Dead
-                }
-            }
-        }
-    }
-
-    /// Partition state weight `(focals, queries, stubs)` for rebalance
-    /// telemetry. Zeroes on a dead peer.
-    pub fn start_load_signal(&self) -> Probe<(u64, u64, u64)> {
-        self.start(PartitionOp::LoadSignal, |s| {
-            (
-                s.focal_ids().len() as u64,
-                s.num_queries() as u64,
-                s.num_stubs() as u64,
-            )
-        })
-    }
-
-    pub fn finish_load_signal(&self, probe: Probe<(u64, u64, u64)>) -> (u64, u64, u64) {
-        self.finish(probe, "LoadSignal", |p| match p {
-            ReplyPayload::Load {
-                focals,
-                queries,
-                stubs,
-            } => (focals, queries, stubs),
-            other => bad_payload("LoadSignal", &other),
-        })
-    }
-
-    pub fn export_cells(&mut self, flats: &[usize], generation: u64) -> Option<ClusterMsg> {
-        match self {
-            PartitionHandle::Local(s) => s.export_cells(flats, generation),
-            PartitionHandle::Remote(r) => {
-                let flats = flats.iter().map(|&f| f as u32).collect();
-                match r.call_quiet(PartitionOp::ExportCells { flats, generation }) {
-                    Some(ReplyPayload::OptCluster(msg)) => msg,
-                    None => None,
-                    Some(other) => bad_payload("ExportCells", &other),
-                }
-            }
-        }
-    }
-
-    pub fn prune_stubs(&mut self) {
-        match self {
-            PartitionHandle::Local(s) => s.prune_stubs(),
-            PartitionHandle::Remote(r) => r.call_quiet_void(PartitionOp::PruneStubs),
-        }
-    }
-
-    pub fn focal_ids(&self) -> Vec<ObjectId> {
-        match self {
-            PartitionHandle::Local(s) => s.focal_ids(),
-            PartitionHandle::Remote(r) => match r.call_quiet(PartitionOp::FocalIds) {
-                Some(ReplyPayload::Oids(oids)) => oids,
-                None => Vec::new(),
-                Some(other) => bad_payload("FocalIds", &other),
-            },
-        }
-    }
-
-    pub fn focal_anchor_cell(&self, oid: ObjectId) -> Option<CellId> {
-        match self {
-            PartitionHandle::Local(s) => s.focal_anchor_cell(oid),
-            PartitionHandle::Remote(r) => match r.call_quiet(PartitionOp::FocalAnchorCell(oid)) {
-                Some(ReplyPayload::OptCell(cell)) => cell,
-                None => None,
-                Some(other) => bad_payload("FocalAnchorCell", &other),
-            },
-        }
-    }
-
-    /// Syncs a remote partition's ownership-table copy to the
-    /// coordinator's exact bounds and generation after a fence. Local
-    /// handles share the coordinator's table and need nothing.
-    pub fn install_bounds(&mut self, generation: u64, bounds: &[usize]) {
-        match self {
-            PartitionHandle::Local(_) => {}
-            PartitionHandle::Remote(r) => {
-                let bounds = bounds.iter().map(|&b| b as u64).collect();
-                r.call_quiet_void(PartitionOp::InstallBounds { generation, bounds });
-            }
-        }
-    }
-
-    // --- durable store surface --------------------------------------------
-
-    /// Cuts a checkpoint into a remote partition's durable log, returning
-    /// the log's next sequence number. `None` for local handles (the
-    /// coordinator owns their stores directly), storeless deployments
-    /// (the op replies 0, mapped to `None`) and dead peers.
-    pub fn checkpoint_remote(&self) -> Option<u64> {
-        match self {
-            PartitionHandle::Local(_) => None,
-            PartitionHandle::Remote(r) => match r.call_quiet(PartitionOp::Checkpoint) {
-                Some(ReplyPayload::U64(0)) | None => None,
-                Some(ReplyPayload::U64(seq)) => Some(seq),
-                Some(other) => bad_payload("Checkpoint", &other),
-            },
-        }
-    }
-
-    /// Historical trajectory samples of `oid` in `[t0, t1]` from a remote
-    /// partition's durable log; empty for local handles, storeless
-    /// deployments and dead peers.
-    pub fn trajectory_remote(&self, oid: ObjectId, t0: f64, t1: f64) -> Vec<LinearMotion> {
-        match self {
-            PartitionHandle::Local(_) => Vec::new(),
-            PartitionHandle::Remote(r) => {
-                match r.call_quiet(PartitionOp::Trajectory { oid, t0, t1 }) {
-                    Some(ReplyPayload::Motions(motions)) => motions,
-                    None => Vec::new(),
-                    Some(other) => bad_payload("Trajectory", &other),
-                }
-            }
-        }
-    }
-
     // --- crash detection --------------------------------------------------
 
     /// The transport failure that killed this handle, if any. Local
     /// handles never die this way (in-process crashes are injected
     /// through the coordinator instead).
     pub fn crashed(&self) -> Option<TransportError> {
-        match self {
-            PartitionHandle::Local(_) => None,
-            PartitionHandle::Remote(r) => r.crashed(),
-        }
+        self.remote().and_then(RemotePartition::crashed)
     }
 
     /// Installs (or clears) the per-RPC read deadline on a remote handle,
@@ -1091,7 +346,7 @@ impl PartitionHandle {
     /// [`TransportError::Timeout`] instead of blocking the coordinator
     /// forever. No-op for local handles.
     pub fn set_rpc_deadline(&self, dur: Option<std::time::Duration>) {
-        if let PartitionHandle::Remote(r) = self {
+        if let Some(r) = self.remote() {
             r.set_rpc_deadline(dur);
         }
     }
@@ -1100,23 +355,48 @@ impl PartitionHandle {
     /// state — the coordinator's crash-injection primitive (the lockstep
     /// analogue of `kill -9` on a partition process).
     pub fn replace_local(&mut self, fresh: Server) {
-        *self
-            .local_mut()
-            .expect("crash injection replaces in-process servers only") = fresh;
+        match self {
+            PartitionHandle::Local(s) => **s = fresh,
+            PartitionHandle::Remote(_) => {
+                panic!("crash injection replaces in-process servers only")
+            }
+        }
     }
 
     /// Actively verifies the peer is alive with a trivial round trip
     /// (`CurrentEpoch`). A crashed or hung peer fails the call, which
-    /// classifies the handle dead; the verdict is then readable via
+    /// latches the handle dead; the verdict is then readable via
     /// [`Self::crashed`]. Local handles are trivially alive.
     pub fn probe_alive(&self) -> bool {
-        match self {
-            PartitionHandle::Local(_) => true,
-            PartitionHandle::Remote(r) => match r.call_quiet(PartitionOp::CurrentEpoch) {
-                Some(ReplyPayload::U64(_)) => true,
-                None => false,
-                Some(other) => bad_payload("CurrentEpoch", &other),
-            },
-        }
+        let _ = self.read(PartitionOp::CurrentEpoch);
+        self.crashed().is_none()
     }
+}
+
+/// One pipelined round of a read-only op over every partition: all
+/// requests go out before any reply is read, so partition processes
+/// compute concurrently. Replies come back in partition order.
+pub(crate) fn fan_out(
+    handles: &[PartitionHandle],
+    op: impl Fn() -> PartitionOp,
+) -> Vec<ReplyPayload> {
+    let probes: Vec<Probe> = handles.iter().map(|h| h.start(op())).collect();
+    handles
+        .iter()
+        .zip(probes)
+        .map(|(h, p)| h.finish(p))
+        .collect()
+}
+
+/// [`fan_out`] for quiet ops that change the partitions.
+pub(crate) fn fan_out_mut(
+    handles: &mut [PartitionHandle],
+    op: impl Fn() -> PartitionOp,
+) -> Vec<ReplyPayload> {
+    let probes: Vec<Probe> = handles.iter_mut().map(|h| h.start_mut(op())).collect();
+    handles
+        .iter()
+        .zip(probes)
+        .map(|(h, p)| h.finish(p))
+        .collect()
 }

@@ -18,9 +18,15 @@
 //! The service is deliberately synchronous and single-connection: the
 //! coordinator's decomposition depends on one-op-at-a-time execution, and
 //! the process model (one partition per process) is the unit of scaling.
+//!
+//! Step 2 goes through `execute`, the one interpreter for partition
+//! ops: an in-process partition handle runs the same function, so local
+//! and remote partitions cannot drift apart op by op.
 
 use crate::partition::PartitionMap;
-use crate::wire::{self, InitConfig, NetAction, PartitionOp, PartitionReply, ReplyPayload};
+use crate::wire::{
+    self, variant_name, InitConfig, NetAction, PartitionOp, PartitionReply, ReplyPayload,
+};
 use mobieyes_core::server::Net;
 use mobieyes_core::{LogRecord, PartitionScope, ProtocolConfig, Server};
 use mobieyes_net::{BaseStationLayout, FramedConn, Listener, TransportError};
@@ -130,6 +136,38 @@ impl ServiceState {
         }
         actions
     }
+
+    /// Runs one op: the service-only ops that act on the ownership table
+    /// or the durable log here, everything else through [`execute`].
+    fn execute(&mut self, op: PartitionOp) -> ReplyPayload {
+        match op {
+            PartitionOp::InstallBounds { generation, bounds } => {
+                // Ownership changes shape every later op; journal them so
+                // a replay resolves cells against the same table history.
+                if let Some(store) = &self.store {
+                    store.append_record(&LogRecord::Bounds {
+                        generation,
+                        bounds: bounds.clone(),
+                    });
+                }
+                let bounds: Vec<usize> = bounds.iter().map(|&b| b as usize).collect();
+                self.map.table().install_at(&bounds, generation);
+                ReplyPayload::Unit
+            }
+            PartitionOp::Checkpoint => ReplyPayload::U64(match &self.store {
+                Some(store) => {
+                    store.checkpoint(self.server.checkpoint_bytes());
+                    store.next_seq()
+                }
+                None => 0,
+            }),
+            PartitionOp::Trajectory { oid, t0, t1 } => ReplyPayload::Motions(match &self.store {
+                Some(store) => store.trajectory(oid, t0, t1).unwrap_or_default(),
+                None => Vec::new(),
+            }),
+            op => execute(&mut self.server, &mut self.net, op),
+        }
+    }
 }
 
 /// Serves one coordinator connection until `Shutdown` or disconnect.
@@ -178,7 +216,7 @@ pub fn serve_connection(mut conn: FramedConn) -> Result<(), TransportError> {
             return Err(TransportError::Protocol(format!("op before Init: {op:?}")));
         };
         s.epoch.fetch_max(floor, Ordering::Relaxed);
-        let payload = execute(s, op);
+        let payload = s.execute(op);
         // Acknowledged implies journaled: push buffered frames to the OS
         // before the reply, so a SIGKILL never loses an op the
         // coordinator saw complete (a buffered write, not an fsync — the
@@ -199,167 +237,136 @@ pub fn serve_connection(mut conn: FramedConn) -> Result<(), TransportError> {
     }
 }
 
-fn execute(s: &mut ServiceState, op: PartitionOp) -> ReplyPayload {
+/// The partition-op interpreter: the one place a [`PartitionOp`] turns
+/// into [`Server`] calls. The service loop runs it behind the wire against
+/// its capture network; an in-process [`PartitionHandle::Local`] runs it
+/// directly, with downlinks landing on the coordinator's agent network.
+/// Ops that emit no downlink fall through to [`execute_quiet`].
+///
+/// [`PartitionHandle::Local`]: crate::PartitionHandle::Local
+pub(crate) fn execute(server: &mut Server, net: &mut Net, op: PartitionOp) -> ReplyPayload {
+    // Ops with a return value reply from their arm; the rest fall out of
+    // the match to the shared `Unit` reply.
     match op {
-        // Handled by the service loop before dispatch.
-        PartitionOp::Init(_) | PartitionOp::Shutdown => unreachable!(),
-        PartitionOp::SetTime(now) => {
-            s.server.set_time(now);
-            ReplyPayload::Unit
-        }
-        PartitionOp::RenewLease(oid) => {
-            s.server.renew_lease(oid);
-            ReplyPayload::Unit
-        }
-        PartitionOp::VelocityReport { oid, motion } => {
-            s.server.on_velocity_report(oid, motion, &mut s.net);
-            ReplyPayload::Unit
-        }
+        PartitionOp::VelocityReport { oid, motion } => server.on_velocity_report(oid, motion, net),
         PartitionOp::CellChangeFocal {
             oid,
             new_cell,
             motion,
-        } => {
-            s.server
-                .apply_cell_change_focal(oid, new_cell, motion, &mut s.net);
-            ReplyPayload::Unit
-        }
+        } => server.apply_cell_change_focal(oid, new_cell, motion, net),
         PartitionOp::CellChangeFresh {
             oid,
             prev_cell,
             new_cell,
             motion,
-        } => {
-            s.server
-                .apply_cell_change_fresh(oid, prev_cell, new_cell, motion, &mut s.net);
-            ReplyPayload::Unit
-        }
+        } => server.apply_cell_change_fresh(oid, prev_cell, new_cell, motion, net),
         PartitionOp::ResultChange {
             qid,
             oid,
             is_target,
-        } => ReplyPayload::Bool(
-            s.server
-                .apply_result_change(qid, oid, is_target, &mut s.net),
-        ),
+        } => return ReplyPayload::Bool(server.apply_result_change(qid, oid, is_target, net)),
         PartitionOp::GroupResultUpdate {
             oid,
             focal,
             mask,
             targets,
-        } => {
-            s.server
-                .apply_group_result_update(oid, focal, mask, targets, &mut s.net);
-            ReplyPayload::Unit
-        }
-        PartitionOp::RefreshFocalMotion {
-            oid,
-            motion,
-            max_vel,
-            insert,
-        } => {
-            s.server.refresh_focal_motion(oid, motion, max_vel, insert);
-            ReplyPayload::Unit
-        }
+        } => server.apply_group_result_update(oid, focal, mask, targets, net),
         PartitionOp::CompleteInstall {
             qid,
             focal,
             region,
             filter,
             expires_at,
-        } => {
-            s.server
-                .complete_install_at(qid, focal, region, filter, expires_at, &mut s.net);
-            ReplyPayload::Unit
-        }
-        PartitionOp::RemoveQuery(qid) => ReplyPayload::Bool(s.server.remove_query(qid, &mut s.net)),
-        PartitionOp::ExpiredQueryIds(now) => ReplyPayload::Qids(s.server.expired_query_ids(now)),
-        PartitionOp::ExpiredLeases => ReplyPayload::Leases(s.server.expired_leases()),
-        PartitionOp::ReinstallInfo(qid) => ReplyPayload::Reinstall(
-            s.server
-                .reinstall_info(qid)
-                .map(|(region, filter, expires_at)| (region, (*filter).clone(), expires_at)),
-        ),
-        PartitionOp::DigestCells => ReplyPayload::Digests(s.server.digest_cells()),
-        PartitionOp::BumpEpoch => ReplyPayload::U64(s.server.bump_epoch_for_coordinator()),
-        PartitionOp::CurrentEpoch => ReplyPayload::U64(s.server.current_epoch()),
-        PartitionOp::NumQueries => ReplyPayload::U64(s.server.num_queries() as u64),
-        PartitionOp::QueryIds => ReplyPayload::Qids(s.server.query_ids().collect()),
-        PartitionOp::QueryResult(qid) => ReplyPayload::ResultSet(
-            s.server
-                .query_result(qid)
-                .map(|r| r.iter().copied().collect()),
-        ),
-        PartitionOp::QueryFocal(qid) => ReplyPayload::OptOid(s.server.query_focal(qid)),
-        PartitionOp::FocalMotion(oid) => ReplyPayload::OptMotion(s.server.focal_motion(oid)),
-        PartitionOp::FocalQueries(oid) => ReplyPayload::OptQids(s.server.focal_queries(oid)),
-        PartitionOp::QueryCell(qid) => ReplyPayload::OptCell(s.server.query_cell(qid)),
-        PartitionOp::PurgeObject(oid) => ReplyPayload::Qids(s.server.purge_object(oid)),
+        } => server.complete_install_at(qid, focal, region, filter, expires_at, net),
+        PartitionOp::RemoveQuery(qid) => return ReplyPayload::Bool(server.remove_query(qid, net)),
         PartitionOp::DeliverResultDelta { qid, oid, entered } => {
-            s.server.deliver_result_delta(qid, oid, entered, &mut s.net);
-            ReplyPayload::Unit
+            server.deliver_result_delta(qid, oid, entered, net)
         }
+        PartitionOp::FocalReassert(oid) => server.focal_reassert(oid, net),
+        PartitionOp::CellSyncReply { oid, cell } => server.cell_sync_reply(oid, cell, net),
+        op => return execute_quiet(server, op),
+    }
+    ReplyPayload::Unit
+}
+
+/// The quiet half of [`execute`]: ops that change the partition but emit
+/// no downlink. Read-only ops fall through to [`read`].
+pub(crate) fn execute_quiet(server: &mut Server, op: PartitionOp) -> ReplyPayload {
+    // Reply convention as in `execute`.
+    match op {
+        PartitionOp::SetTime(now) => server.set_time(now),
+        PartitionOp::RenewLease(oid) => server.renew_lease(oid),
+        PartitionOp::RefreshFocalMotion {
+            oid,
+            motion,
+            max_vel,
+            insert,
+        } => server.refresh_focal_motion(oid, motion, max_vel, insert),
+        PartitionOp::BumpEpoch => return ReplyPayload::U64(server.bump_epoch_for_coordinator()),
+        PartitionOp::PurgeObject(oid) => return ReplyPayload::Qids(server.purge_object(oid)),
         PartitionOp::LqtReconcileOne {
             qid,
             oid,
             is_target,
-        } => ReplyPayload::Bool(s.server.lqt_reconcile_one(qid, oid, is_target)),
-        PartitionOp::FocalReassert(oid) => {
-            s.server.focal_reassert(oid, &mut s.net);
-            ReplyPayload::Unit
+        } => return ReplyPayload::Bool(server.lqt_reconcile_one(qid, oid, is_target)),
+        PartitionOp::ExtractFocal(oid) => {
+            return ReplyPayload::OptCluster(server.extract_focal(oid))
         }
-        PartitionOp::CellSyncReply { oid, cell } => {
-            s.server.cell_sync_reply(oid, cell, &mut s.net);
-            ReplyPayload::Unit
-        }
-        PartitionOp::ExtractFocal(oid) => ReplyPayload::OptCluster(s.server.extract_focal(oid)),
-        PartitionOp::Deliver(msg) => {
-            s.server.apply_cluster_msg(&msg);
-            ReplyPayload::Unit
-        }
-        PartitionOp::CheckInvariants => {
-            s.server.check_invariants();
-            ReplyPayload::Unit
-        }
-        PartitionOp::InstallBounds { generation, bounds } => {
-            // Ownership changes shape every later op; journal them so a
-            // replay resolves cells against the same table history.
-            if let Some(store) = &s.store {
-                store.append_record(&LogRecord::Bounds {
-                    generation,
-                    bounds: bounds.clone(),
-                });
-            }
-            let bounds: Vec<usize> = bounds.iter().map(|&b| b as usize).collect();
-            s.map.table().install_at(&bounds, generation);
-            ReplyPayload::Unit
-        }
+        PartitionOp::Deliver(msg) => server.apply_cluster_msg(&msg),
         PartitionOp::ExportCells { flats, generation } => {
             let flats: Vec<usize> = flats.iter().map(|&f| f as usize).collect();
-            ReplyPayload::OptCluster(s.server.export_cells(&flats, generation))
+            return ReplyPayload::OptCluster(server.export_cells(&flats, generation));
         }
-        PartitionOp::PruneStubs => {
-            s.server.prune_stubs();
+        PartitionOp::PruneStubs => server.prune_stubs(),
+        op => return read(server, &op),
+    }
+    ReplyPayload::Unit
+}
+
+/// The read-only half of [`execute`]: ops answered from `&Server`, so a
+/// coordinator can ask them through a shared borrow. The service-only ops
+/// (`Init`, `Shutdown`, `InstallBounds`, `Checkpoint`, `Trajectory`) act
+/// on the service's ownership table or durable log, which an in-process
+/// server does not have: here they answer their neutral payload.
+pub(crate) fn read(server: &Server, op: &PartitionOp) -> ReplyPayload {
+    match *op {
+        PartitionOp::ExpiredQueryIds(now) => ReplyPayload::Qids(server.expired_query_ids(now)),
+        PartitionOp::ExpiredLeases => ReplyPayload::Leases(server.expired_leases()),
+        PartitionOp::ReinstallInfo(qid) => ReplyPayload::Reinstall(server.reinstall_info(qid)),
+        PartitionOp::DigestCells => ReplyPayload::Digests(server.digest_cells()),
+        PartitionOp::CurrentEpoch => ReplyPayload::U64(server.current_epoch()),
+        PartitionOp::NumQueries => ReplyPayload::U64(server.num_queries() as u64),
+        PartitionOp::QueryIds => ReplyPayload::Qids(server.query_ids().collect()),
+        PartitionOp::QueryResult(qid) => ReplyPayload::ResultSet(
+            server
+                .query_result(qid)
+                .map(|r| r.iter().copied().collect()),
+        ),
+        PartitionOp::QueryFocal(qid) => ReplyPayload::OptOid(server.query_focal(qid)),
+        PartitionOp::FocalMotion(oid) => ReplyPayload::OptMotion(server.focal_motion(oid)),
+        PartitionOp::FocalQueries(oid) => ReplyPayload::OptQids(server.focal_queries(oid)),
+        PartitionOp::QueryCell(qid) => ReplyPayload::OptCell(server.query_cell(qid)),
+        PartitionOp::CheckInvariants => {
+            server.check_invariants();
             ReplyPayload::Unit
         }
-        PartitionOp::FocalIds => ReplyPayload::Oids(s.server.focal_ids()),
-        PartitionOp::FocalAnchorCell(oid) => ReplyPayload::OptCell(s.server.focal_anchor_cell(oid)),
-        PartitionOp::Checkpoint => ReplyPayload::U64(match &s.store {
-            Some(store) => {
-                store.checkpoint(s.server.checkpoint_bytes());
-                store.next_seq()
-            }
-            None => 0,
-        }),
-        PartitionOp::Trajectory { oid, t0, t1 } => ReplyPayload::Motions(match &s.store {
-            Some(store) => store.trajectory(oid, t0, t1).unwrap_or_default(),
-            None => Vec::new(),
-        }),
+        PartitionOp::FocalIds => ReplyPayload::Oids(server.focal_ids()),
+        PartitionOp::FocalAnchorCell(oid) => ReplyPayload::OptCell(server.focal_anchor_cell(oid)),
         PartitionOp::LoadSignal => ReplyPayload::Load {
-            focals: s.server.focal_ids().len() as u64,
-            queries: s.server.num_queries() as u64,
-            stubs: s.server.num_stubs() as u64,
+            focals: server.focal_ids().len() as u64,
+            queries: server.num_queries() as u64,
+            stubs: server.num_stubs() as u64,
         },
+        PartitionOp::Init(_)
+        | PartitionOp::Shutdown
+        | PartitionOp::InstallBounds { .. }
+        | PartitionOp::Checkpoint
+        | PartitionOp::Trajectory { .. } => op.fallback(),
+        _ => unreachable!(
+            "{} was started on the wrong path: ops that change the partition \
+             need `start_mut`, ops that emit downlinks need `call`",
+            variant_name(op)
+        ),
     }
 }
 

@@ -238,7 +238,7 @@ pub enum ReplyPayload {
     OptOid(Option<ObjectId>),
     Digests(Vec<(CellId, u64)>),
     Leases(Vec<(ObjectId, Vec<QueryId>)>),
-    Reinstall(Option<(QueryRegion, Filter, Option<f64>)>),
+    Reinstall(Option<(QueryRegion, Arc<Filter>, Option<f64>)>),
     ResultSet(Option<Vec<ObjectId>>),
     Oids(Vec<ObjectId>),
     /// Motion samples from the durable log, ascending by report time.
@@ -262,6 +262,134 @@ pub struct PartitionReply {
     /// Downlink traffic the op emitted, in emission order.
     pub net: Vec<NetAction>,
     pub payload: ReplyPayload,
+}
+
+impl PartitionOp {
+    /// The reply a dead partition stands in with: the neutral value
+    /// (empty, `None`, `false`, zero) of this op's reply variant. Its
+    /// variant is also the only shape a live partition may answer with.
+    pub fn fallback(&self) -> ReplyPayload {
+        use PartitionOp as Op;
+        match self {
+            Op::Init(_)
+            | Op::Shutdown
+            | Op::SetTime(_)
+            | Op::RenewLease(_)
+            | Op::VelocityReport { .. }
+            | Op::CellChangeFocal { .. }
+            | Op::CellChangeFresh { .. }
+            | Op::GroupResultUpdate { .. }
+            | Op::RefreshFocalMotion { .. }
+            | Op::CompleteInstall { .. }
+            | Op::DeliverResultDelta { .. }
+            | Op::FocalReassert(_)
+            | Op::CellSyncReply { .. }
+            | Op::Deliver(_)
+            | Op::CheckInvariants
+            | Op::InstallBounds { .. }
+            | Op::PruneStubs => ReplyPayload::Unit,
+            Op::ResultChange { .. } | Op::RemoveQuery(_) | Op::LqtReconcileOne { .. } => {
+                ReplyPayload::Bool(false)
+            }
+            Op::BumpEpoch | Op::CurrentEpoch | Op::NumQueries | Op::Checkpoint => {
+                ReplyPayload::U64(0)
+            }
+            Op::ExpiredQueryIds(_) | Op::QueryIds | Op::PurgeObject(_) => {
+                ReplyPayload::Qids(Vec::new())
+            }
+            Op::ExpiredLeases => ReplyPayload::Leases(Vec::new()),
+            Op::ReinstallInfo(_) => ReplyPayload::Reinstall(None),
+            Op::DigestCells => ReplyPayload::Digests(Vec::new()),
+            Op::QueryResult(_) => ReplyPayload::ResultSet(None),
+            Op::QueryFocal(_) => ReplyPayload::OptOid(None),
+            Op::FocalMotion(_) => ReplyPayload::OptMotion(None),
+            Op::FocalQueries(_) => ReplyPayload::OptQids(None),
+            Op::QueryCell(_) | Op::FocalAnchorCell(_) => ReplyPayload::OptCell(None),
+            Op::ExtractFocal(_) | Op::ExportCells { .. } => ReplyPayload::OptCluster(None),
+            Op::FocalIds => ReplyPayload::Oids(Vec::new()),
+            Op::Trajectory { .. } => ReplyPayload::Motions(Vec::new()),
+            Op::LoadSignal => ReplyPayload::Load {
+                focals: 0,
+                queries: 0,
+                stubs: 0,
+            },
+        }
+    }
+}
+
+/// An enum value's variant name, read off the front of its `Debug` form,
+/// for diagnostics and per-op tallies. The writer aborts formatting at the
+/// first non-identifier character, so the payload is never formatted.
+pub fn variant_name(value: &impl std::fmt::Debug) -> String {
+    struct Ident(String);
+    impl std::fmt::Write for Ident {
+        fn write_str(&mut self, s: &str) -> std::fmt::Result {
+            for c in s.chars() {
+                if !(c.is_alphanumeric() || c == '_') {
+                    return Err(std::fmt::Error);
+                }
+                self.0.push(c);
+            }
+            Ok(())
+        }
+    }
+    let mut ident = Ident(String::new());
+    // The error is the early stop, not a failure.
+    let _ = std::fmt::write(&mut ident, format_args!("{value:?}"));
+    ident.0
+}
+
+/// Typed accessors, one per payload variant. A partition handle checks
+/// every reply's variant against its op before handing it out, so asking
+/// for the wrong variant is a coordinator bug and panics.
+macro_rules! payload_accessors {
+    ($($name:ident: $variant:ident => $ty:ty,)*) => {
+        impl ReplyPayload {
+            $(
+                pub fn $name(self) -> $ty {
+                    match self {
+                        ReplyPayload::$variant(v) => v,
+                        other => panic!(
+                            "expected a {} payload, got {}",
+                            stringify!($variant),
+                            variant_name(&other)
+                        ),
+                    }
+                }
+            )*
+        }
+    };
+}
+
+payload_accessors! {
+    into_bool: Bool => bool,
+    into_u64: U64 => u64,
+    into_qids: Qids => Vec<QueryId>,
+    into_opt_qids: OptQids => Option<Vec<QueryId>>,
+    into_opt_cluster: OptCluster => Option<ClusterMsg>,
+    into_opt_motion: OptMotion => Option<LinearMotion>,
+    into_opt_cell: OptCell => Option<CellId>,
+    into_opt_oid: OptOid => Option<ObjectId>,
+    into_digests: Digests => Vec<(CellId, u64)>,
+    into_leases: Leases => Vec<(ObjectId, Vec<QueryId>)>,
+    into_reinstall: Reinstall => Option<(QueryRegion, Arc<Filter>, Option<f64>)>,
+    into_result_set: ResultSet => Option<Vec<ObjectId>>,
+    into_oids: Oids => Vec<ObjectId>,
+    into_motions: Motions => Vec<LinearMotion>,
+}
+
+impl ReplyPayload {
+    /// The `Load` payload as `(focals, queries, stubs)`.
+    pub fn into_load(self) -> (u64, u64, u64) {
+        match self {
+            ReplyPayload::Load {
+                focals,
+                queries,
+                stubs,
+            } => (focals, queries, stubs),
+            other => panic!("expected a Load payload, got {}", variant_name(&other)),
+        }
+    }
 }
 
 // --- request encoding --------------------------------------------------------
@@ -957,7 +1085,7 @@ pub fn decode_reply(bytes: &[u8]) -> Result<PartitionReply> {
             }
             11 => ReplyPayload::Reinstall(if buf.get_u8("option flag")? != 0 {
                 let region = codec::get_region(&mut buf)?;
-                let filter = codec::get_filter(&mut buf)?;
+                let filter = Arc::new(codec::get_filter(&mut buf)?);
                 Some((region, filter, get_opt_f64(&mut buf)?))
             } else {
                 None
@@ -1025,6 +1153,20 @@ pub fn decode_reply(bytes: &[u8]) -> Result<PartitionReply> {
 mod tests {
     use super::*;
     use mobieyes_geo::{GridRect, Point, Vec2};
+
+    #[test]
+    fn variant_name_stops_at_the_payload() {
+        assert_eq!(variant_name(&PartitionOp::SetTime(1.0)), "SetTime");
+        assert_eq!(variant_name(&PartitionOp::Shutdown), "Shutdown");
+        assert_eq!(
+            variant_name(&PartitionOp::ExportCells {
+                flats: vec![1, 2],
+                generation: 3
+            }),
+            "ExportCells"
+        );
+        assert_eq!(variant_name(&ReplyPayload::Bool(true)), "Bool");
+    }
 
     fn motion() -> LinearMotion {
         LinearMotion::new(Point::new(3.0, -1.5), Vec2::new(0.25, -0.125), 60.0)
@@ -1179,7 +1321,7 @@ mod tests {
             ReplyPayload::Leases(vec![(ObjectId(4), vec![QueryId(1)]), (ObjectId(9), vec![])]),
             ReplyPayload::Reinstall(Some((
                 QueryRegion::rect(2.0, 3.0),
-                Filter::True,
+                Arc::new(Filter::True),
                 Some(500.0),
             ))),
             ReplyPayload::Reinstall(None),

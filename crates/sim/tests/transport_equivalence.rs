@@ -10,6 +10,7 @@
 //! matrix.
 
 use mobieyes_core::{ObjectId, Propagation};
+use mobieyes_net::TransportError;
 use mobieyes_sim::{ClusterClient, HostedPartitions, MobiEyesSim, SimConfig, TransportKind};
 use mobieyes_telemetry::Telemetry;
 use std::collections::BTreeSet;
@@ -56,6 +57,20 @@ fn assert_traces_match(label: &str, reference: &ResultTrace, candidate: &ResultT
     }
 }
 
+/// A reply that breaks the RPC protocol latches its handle dead and gets
+/// the partition fenced like a crash; in these healthy runs it can only be
+/// an encoder or interpreter bug, so it must fail the suite.
+fn assert_no_protocol_death(sim: &MobiEyesSim) {
+    let cluster = sim.cluster();
+    for p in 0..cluster.num_partitions() {
+        let cause = cluster.crash_cause(p);
+        assert!(
+            !matches!(cause, Some(TransportError::Protocol(_))),
+            "partition {p} died of a protocol violation: {cause:?}"
+        );
+    }
+}
+
 /// Runs the full workload against thread-hosted partition services over
 /// real sockets and returns the per-tick trace plus the final digest.
 fn remote_trace(cfg: SimConfig, partitions: usize, uds: bool) -> (ResultTrace, u64) {
@@ -65,6 +80,7 @@ fn remote_trace(cfg: SimConfig, partitions: usize, uds: bool) -> (ResultTrace, u
     let mut sim = client.into_sim(cfg, Telemetry::new());
     let results = trace(&mut sim, true);
     let digest = sim.result_digest();
+    assert_no_protocol_death(&sim);
     sim.shutdown();
     hosted.join().expect("partition services exit cleanly");
     (results, digest)
@@ -122,6 +138,7 @@ fn remote_rebalance_trace(cfg: SimConfig, partitions: usize, uds: bool) -> (Resu
     let results = trace(&mut sim, true);
     let digest = sim.result_digest();
     let generation = sim.cluster().map_generation();
+    assert_no_protocol_death(&sim);
     sim.shutdown();
     hosted.join().expect("partition services exit cleanly");
     (results, digest, generation)

@@ -767,12 +767,41 @@ mod tests {
 
     static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
 
-    fn tmp_dir(tag: &str) -> PathBuf {
+    /// A scratch log directory, removed with its contents on drop so a
+    /// clean test run leaves nothing behind in the temp dir.
+    struct TmpDir(PathBuf);
+
+    impl std::ops::Deref for TmpDir {
+        type Target = Path;
+        fn deref(&self) -> &Path {
+            &self.0
+        }
+    }
+
+    impl AsRef<Path> for TmpDir {
+        fn as_ref(&self) -> &Path {
+            &self.0
+        }
+    }
+
+    impl AsRef<std::ffi::OsStr> for TmpDir {
+        fn as_ref(&self) -> &std::ffi::OsStr {
+            self.0.as_os_str()
+        }
+    }
+
+    impl Drop for TmpDir {
+        fn drop(&mut self) {
+            let _ = fs::remove_dir_all(&self.0);
+        }
+    }
+
+    fn tmp_dir(tag: &str) -> TmpDir {
         let n = DIR_SEQ.fetch_add(1, Ordering::Relaxed);
         let dir =
             std::env::temp_dir().join(format!("mobieyes-store-{}-{tag}-{n}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
-        dir
+        TmpDir(dir)
     }
 
     fn motion(x: f64, y: f64, tm: f64) -> LinearMotion {

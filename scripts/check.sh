@@ -13,6 +13,17 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo build --release"
 cargo build --release --workspace
 
+echo "==> perfbench build + tests (its own workspace)"
+# perfbench/ is a separate workspace, so the workspace build above never
+# compiles it; this step catches a change to the library API it uses
+# (`mobieyes::cluster::wire` among others). It shares the workspace target
+# dir, so nothing new lands in the tree.
+perfbench_target="${CARGO_TARGET_DIR:-$PWD/target}"
+CARGO_TARGET_DIR="$perfbench_target" cargo build --release --offline \
+  --manifest-path perfbench/Cargo.toml
+CARGO_TARGET_DIR="$perfbench_target" cargo test -q --offline \
+  --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo test -q (MOBIEYES_THREADS=1)"
 MOBIEYES_THREADS=1 cargo test -q --workspace
 

@@ -142,8 +142,7 @@ impl From<mobieyes_net::TransportError> for Error {
 ///
 /// The simulated-network plumbing (`NetworkSim`, `BaseStationLayout`,
 /// `MessageMeter`, `RadioModel`) is no longer part of the prelude: those
-/// are internals of the lockstep backend. Deprecated aliases keep old
-/// imports compiling; reach them at [`crate::net`] directly.
+/// are internals of the lockstep backend; reach them at [`crate::net`].
 pub mod prelude {
     pub use crate::Error;
     pub use mobieyes_core::{
@@ -164,39 +163,4 @@ pub mod prelude {
     pub use mobieyes_telemetry::{
         MetricsRegistry, MetricsSnapshot, Phase, Telemetry, TickProfiler,
     };
-
-    /// Deprecated alias kept so pre-0.6 `prelude::Net` imports compile.
-    #[deprecated(
-        since = "0.6.0",
-        note = "`Net` is lockstep-backend plumbing; import `mobieyes::core::server::Net` directly"
-    )]
-    pub type Net = mobieyes_core::server::Net;
-
-    /// Deprecated alias kept so pre-0.6 `prelude::NetworkSim` imports compile.
-    #[deprecated(
-        since = "0.6.0",
-        note = "`NetworkSim` is lockstep-backend plumbing; import `mobieyes::net::NetworkSim` directly"
-    )]
-    pub type NetworkSim<U, D> = mobieyes_net::NetworkSim<U, D>;
-
-    /// Deprecated alias kept so pre-0.6 `prelude::BaseStationLayout` imports compile.
-    #[deprecated(
-        since = "0.6.0",
-        note = "`BaseStationLayout` is lockstep-backend plumbing; import `mobieyes::net::BaseStationLayout` directly"
-    )]
-    pub type BaseStationLayout = mobieyes_net::BaseStationLayout;
-
-    /// Deprecated alias kept so pre-0.6 `prelude::MessageMeter` imports compile.
-    #[deprecated(
-        since = "0.6.0",
-        note = "`MessageMeter` is lockstep-backend plumbing; import `mobieyes::net::MessageMeter` directly"
-    )]
-    pub type MessageMeter = mobieyes_net::MessageMeter;
-
-    /// Deprecated alias kept so pre-0.6 `prelude::RadioModel` imports compile.
-    #[deprecated(
-        since = "0.6.0",
-        note = "`RadioModel` is lockstep-backend plumbing; import `mobieyes::net::RadioModel` directly"
-    )]
-    pub type RadioModel = mobieyes_net::RadioModel;
 }

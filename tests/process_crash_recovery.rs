@@ -142,6 +142,17 @@ fn run_traced(mut sim: MobiEyesSim, victims: &[u32], respawn: bool) -> Trace {
         converged_after.unwrap_or_else(|| panic!("no reconvergence within {MAX_RECOVERY} ticks"));
     let digest = sim.result_digest();
     let generation = sim.cluster().map_generation();
+    // The victims died of SIGKILL (peer death); a protocol violation on
+    // any handle would be an encoder or interpreter bug that failover
+    // silently absorbed.
+    let cluster = sim.cluster();
+    for p in 0..cluster.num_partitions() {
+        let cause = cluster.crash_cause(p);
+        assert!(
+            !matches!(cause, Some(TransportError::Protocol(_))),
+            "partition {p} died of a protocol violation: {cause:?}"
+        );
+    }
     sim.shutdown();
     Trace {
         results,
