@@ -10,7 +10,7 @@
 //! smaller smoke run.
 
 use mobieyes_core::Propagation;
-use mobieyes_sim::{MobiEyesSim, SimConfig, SimConfigBuilder};
+use mobieyes_sim::{MobiEyesSim, SimConfig};
 use mobieyes_store::{self as store, Store, StoreConfig};
 use mobieyes_telemetry::Telemetry;
 use std::fmt::Write as _;
@@ -23,13 +23,16 @@ fn bench_config(seed: u64, mode: Propagation) -> SimConfig {
     } else {
         (2000, 100, 200, 40, 5)
     };
-    SimConfigBuilder::from_config(SimConfig::small_test(seed).with_propagation(mode))
-        .objects(objects)
-        .queries(queries)
-        .objects_changing_velocity(nmo)
-        .ticks(ticks)
-        .warmup_ticks(warmup)
-        .build_or_panic()
+    SimConfig {
+        num_objects: objects,
+        num_queries: queries,
+        objects_changing_velocity: nmo,
+        ticks,
+        warmup_ticks: warmup,
+        ..SimConfig::small_test(seed).with_propagation(mode)
+    }
+    .validate()
+    .expect("valid persist bench config")
 }
 
 /// Total bytes of every file under the partition's log directory.

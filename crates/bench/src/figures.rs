@@ -9,7 +9,7 @@
 
 use crate::table::Table;
 use crate::{scaled, sweeps};
-use mobieyes_sim::{run_approach, Approach, RunMetrics, SimConfig, SimConfigBuilder};
+use mobieyes_sim::{run_approach, Approach, RunMetrics, SimConfig};
 
 fn progress(fig: &str, msg: &str) {
     eprintln!("[{fig}] {msg}");
@@ -421,9 +421,10 @@ pub fn ablation_grouping() -> Table {
         ],
     );
     for &pool in &pools {
-        let base = SimConfigBuilder::from_config(scaled(SimConfig::default().with_queries(200)))
-            .focal_pool(pool)
-            .build_or_panic();
+        let base = scaled(SimConfig::default().with_queries(200))
+            .with_focal_pool(pool)
+            .validate()
+            .expect("valid focal pool");
         let plain = run(base.clone(), Approach::MobiEyesEqp);
         let grouped = run(base.with_grouping(true), Approach::MobiEyesEqp);
         t.push(
@@ -454,9 +455,12 @@ pub fn ablation_delta() -> Table {
         &["msgs/s", "uplink msgs/s", "avg error"],
     );
     for &d in &deltas {
-        let config = SimConfigBuilder::from_config(scaled(SimConfig::default()))
-            .delta(d)
-            .build_or_panic();
+        let config = SimConfig {
+            delta: d,
+            ..scaled(SimConfig::default())
+        }
+        .validate()
+        .expect("valid delta");
         let m = run(config, Approach::MobiEyesEqp);
         t.push(
             d,

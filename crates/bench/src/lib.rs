@@ -14,7 +14,7 @@ pub mod table;
 pub use harness::Harness;
 pub use table::Table;
 
-use mobieyes_sim::{SimConfig, SimConfigBuilder};
+use mobieyes_sim::SimConfig;
 
 /// Is quick mode requested (smaller workloads, same shapes)?
 pub fn quick() -> bool {
@@ -45,14 +45,17 @@ pub fn scaled(config: SimConfig) -> SimConfig {
     if !quick() {
         return config;
     }
-    SimConfigBuilder::from_config(config.clone())
-        .objects((config.num_objects / 10).max(50))
-        .queries((config.num_queries / 10).max(5))
-        .objects_changing_velocity((config.objects_changing_velocity / 10).max(5))
-        .area(config.area / 10.0)
-        .ticks(config.ticks.min(15))
-        .warmup_ticks(config.warmup_ticks.min(3))
-        .build_or_panic()
+    SimConfig {
+        num_objects: (config.num_objects / 10).max(50),
+        num_queries: (config.num_queries / 10).max(5),
+        objects_changing_velocity: (config.objects_changing_velocity / 10).max(5),
+        area: config.area / 10.0,
+        ticks: config.ticks.min(15),
+        warmup_ticks: config.warmup_ticks.min(3),
+        ..config
+    }
+    .validate()
+    .expect("quick-mode scaling keeps the configuration valid")
 }
 
 /// The sweep values used across figures (paper ranges).

@@ -370,13 +370,22 @@ pub(crate) fn read(server: &Server, op: &PartitionOp) -> ReplyPayload {
     }
 }
 
-/// Binds `listener`'s endpoint, accepts exactly one coordinator, completes
-/// the hello exchange (the partition announces its id, the coordinator
-/// its own node id 0) and runs the service loop to completion.
+/// Accepts exactly one coordinator on `listener`, completes the hello
+/// exchange (the partition announces its id, the coordinator its own node
+/// id 0) and runs the service loop to completion. Connections that close
+/// before their hello are skipped.
 pub fn serve_partition(listener: Listener, partition: u32) -> Result<(), TransportError> {
-    let stream = listener.accept()?;
-    let mut conn = FramedConn::new(stream);
-    conn.send_hello(partition)?;
-    let _coordinator = conn.expect_hello()?;
-    serve_connection(conn)
+    loop {
+        let mut conn = FramedConn::new(listener.accept()?);
+        match conn
+            .send_hello(partition)
+            .and_then(|()| conn.expect_hello())
+        {
+            Ok(_coordinator) => return serve_connection(conn),
+            // A peer gone before its hello is not a coordinator — e.g.
+            // another `Listener::bind` probing whether this path is live.
+            Err(e) if e.is_peer_death() => continue,
+            Err(e) => return Err(e),
+        }
+    }
 }

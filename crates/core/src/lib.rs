@@ -20,7 +20,8 @@
 //!
 //! The protocol logic is pure message-passing (uplink in → downlink out), so
 //! the same server/agent types run under the lock-step simulator
-//! (`mobieyes-sim`) and the threaded actor runtime (`mobieyes-runtime`).
+//! (`mobieyes-sim`), in-process partitions and partition processes
+//! (`mobieyes-cluster`).
 
 pub mod codec;
 pub mod config;

@@ -177,8 +177,9 @@ impl Write for Stream {
     }
 }
 
-/// A bound server socket. Unix-domain listeners unlink a stale socket file
-/// on bind and remove it again on drop.
+/// A bound server socket. Unix-domain listeners refuse a path a live
+/// service answers on, unlink a stale socket file, and remove their own
+/// file again on drop.
 #[derive(Debug)]
 pub enum Listener {
     Tcp(TcpListener),
@@ -190,8 +191,15 @@ impl Listener {
         match ep {
             Endpoint::Tcp(addr) => Ok(Listener::Tcp(TcpListener::bind(addr)?)),
             Endpoint::Uds(path) => {
-                if path.exists() {
-                    std::fs::remove_file(path)?;
+                // Probe before unlinking: a socket file whose listener is
+                // gone refuses the connection; anything that accepts is a
+                // live service that must keep its path.
+                match UnixStream::connect(path) {
+                    Ok(_) => return Err(TransportError::AddrInUse(ep.to_string())),
+                    Err(e) if e.kind() == std::io::ErrorKind::ConnectionRefused => {
+                        std::fs::remove_file(path)?;
+                    }
+                    Err(_) => {}
                 }
                 Ok(Listener::Unix(UnixListener::bind(path)?, path.clone()))
             }
@@ -536,6 +544,28 @@ impl<M: Frame> Transport<M> for SocketTransport<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn unix_bind_refuses_a_live_socket_and_reclaims_a_stale_one() {
+        let path =
+            std::env::temp_dir().join(format!("mobieyes-bind-test-{}.sock", std::process::id()));
+        let ep = Endpoint::Uds(path.clone());
+        let live = Listener::bind(&ep).unwrap();
+        assert!(matches!(
+            Listener::bind(&ep),
+            Err(TransportError::AddrInUse(_))
+        ));
+        assert!(path.exists(), "a refused bind must leave the live socket");
+        drop(live);
+        // A listener dropped without unlinking (a SIGKILLed service)
+        // leaves a stale socket file behind; binding over it succeeds.
+        drop(UnixListener::bind(&path).unwrap());
+        assert!(path.exists());
+        let reclaimed = Listener::bind(&ep).unwrap();
+        assert_eq!(reclaimed.local_endpoint().unwrap(), ep);
+        drop(reclaimed);
+        assert!(!path.exists(), "the listener removes its file on drop");
+    }
 
     #[test]
     fn read_deadline_surfaces_timeout_and_connection_survives() {

@@ -48,6 +48,9 @@ pub enum TransportError {
     /// from [`TransportError::Closed`]: the socket is still open, the peer
     /// is hung — crash detection treats both as a dead partition.
     Timeout,
+    /// A listener refused to bind: a live service already answers on the
+    /// endpoint.
+    AddrInUse(String),
 }
 
 impl std::fmt::Display for TransportError {
@@ -62,6 +65,7 @@ impl std::fmt::Display for TransportError {
             TransportError::Handshake(e) => write!(f, "transport handshake failed: {e}"),
             TransportError::Protocol(e) => write!(f, "transport protocol violation: {e}"),
             TransportError::Timeout => write!(f, "transport read deadline elapsed"),
+            TransportError::AddrInUse(ep) => write!(f, "address in use: {ep} has a live listener"),
         }
     }
 }

@@ -51,7 +51,7 @@ impl ClusterSim {
     /// The partitioned server tier (`None` when running with a single
     /// partition, which uses the plain server path).
     pub fn cluster(&self) -> Option<&ClusterServer> {
-        if self.inner.config.resolved_partitions() > 1 {
+        if self.inner.config.partitions > 1 {
             Some(self.inner.cluster())
         } else {
             None
@@ -59,7 +59,7 @@ impl ClusterSim {
     }
 
     pub fn num_partitions(&self) -> usize {
-        self.inner.config.resolved_partitions()
+        self.inner.config.partitions
     }
 
     /// Inter-server bus traffic (empty meter on a single partition).
@@ -72,7 +72,7 @@ impl ClusterSim {
 
     /// Injects a fault plan on the server↔server links.
     pub fn set_bus_fault(&mut self, plan: FaultPlan) {
-        if self.inner.config.resolved_partitions() > 1 {
+        if self.inner.config.partitions > 1 {
             self.inner.cluster_mut().set_bus_fault(plan);
         }
     }

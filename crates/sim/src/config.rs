@@ -1,7 +1,10 @@
-//! Simulation parameters (Table 1 of the paper).
+//! Simulation parameters (Table 1 of the paper) and the one flag table
+//! every command-line driver parses them from.
 
 use crate::mobility::MobilityKind;
 use mobieyes_core::Propagation;
+use std::path::{Path, PathBuf};
+use std::str::FromStr;
 
 /// Backend for the cluster tier's inter-server bus.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -17,19 +20,23 @@ pub enum TransportKind {
     Uds,
 }
 
-impl TransportKind {
+impl FromStr for TransportKind {
+    type Err = String;
+
     /// Parses `"lockstep"`, `"tcp"` or `"uds"` (case-insensitive).
-    pub fn parse(s: &str) -> Result<TransportKind, ConfigError> {
+    fn from_str(s: &str) -> Result<TransportKind, String> {
         match s.to_ascii_lowercase().as_str() {
             "lockstep" => Ok(TransportKind::Lockstep),
             "tcp" => Ok(TransportKind::Tcp),
             "uds" | "unix" => Ok(TransportKind::Uds),
-            other => Err(ConfigError(format!(
+            other => Err(format!(
                 "unknown transport {other:?} (expected lockstep, tcp or uds)"
-            ))),
+            )),
         }
     }
+}
 
+impl TransportKind {
     /// The backend name (`"lockstep"`, `"tcp"`, `"uds"`).
     pub fn as_str(&self) -> &'static str {
         match self {
@@ -59,18 +66,22 @@ pub enum RecoveryKind {
     Respawn,
 }
 
-impl RecoveryKind {
+impl FromStr for RecoveryKind {
+    type Err = String;
+
     /// Parses `"failover"` or `"respawn"` (case-insensitive).
-    pub fn parse(s: &str) -> Result<RecoveryKind, ConfigError> {
+    fn from_str(s: &str) -> Result<RecoveryKind, String> {
         match s.to_ascii_lowercase().as_str() {
             "failover" => Ok(RecoveryKind::Failover),
             "respawn" => Ok(RecoveryKind::Respawn),
-            other => Err(ConfigError(format!(
+            other => Err(format!(
                 "unknown recovery mode {other:?} (expected failover or respawn)"
-            ))),
+            )),
         }
     }
+}
 
+impl RecoveryKind {
     /// The mode name (`"failover"`, `"respawn"`).
     pub fn as_str(&self) -> &'static str {
         match self {
@@ -102,18 +113,20 @@ pub enum EngineKind {
     Seed,
 }
 
-impl EngineKind {
+impl FromStr for EngineKind {
+    type Err = String;
+
     /// Parses `"soa"` or `"seed"` (case-insensitive).
-    pub fn parse(s: &str) -> Result<EngineKind, ConfigError> {
+    fn from_str(s: &str) -> Result<EngineKind, String> {
         match s.to_ascii_lowercase().as_str() {
             "soa" => Ok(EngineKind::Soa),
             "seed" => Ok(EngineKind::Seed),
-            other => Err(ConfigError(format!(
-                "unknown engine {other:?} (expected soa or seed)"
-            ))),
+            other => Err(format!("unknown engine {other:?} (expected soa or seed)")),
         }
     }
+}
 
+impl EngineKind {
     /// The engine name (`"soa"`, `"seed"`).
     pub fn as_str(&self) -> &'static str {
         match self {
@@ -129,8 +142,8 @@ impl std::fmt::Display for EngineKind {
     }
 }
 
-/// A rejected simulation configuration: which knob, what value, and what
-/// the validator expected instead.
+/// A rejected simulation configuration: which knob (flag or environment
+/// variable), what value, and what the validator expected instead.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConfigError(pub String);
 
@@ -142,8 +155,35 @@ impl std::fmt::Display for ConfigError {
 
 impl std::error::Error for ConfigError {}
 
+/// Environment override for [`SimConfig::threads`] when it is 0 (auto).
+const THREADS_ENV: &str = "MOBIEYES_THREADS";
+/// Environment override for [`SimConfig::transport`] when it is unset.
+const TRANSPORT_ENV: &str = "MOBIEYES_TRANSPORT";
+
+/// Reads an environment override: unset or empty is `None`; a value that
+/// does not parse is an error naming the variable and the value.
+fn env_knob<T: FromStr>(var: &str) -> Result<Option<T>, ConfigError>
+where
+    T::Err: std::fmt::Display,
+{
+    match std::env::var(var) {
+        Err(std::env::VarError::NotPresent) => Ok(None),
+        Err(std::env::VarError::NotUnicode(v)) => {
+            Err(ConfigError(format!("{var}={v:?}: not valid unicode")))
+        }
+        Ok(v) if v.is_empty() => Ok(None),
+        Ok(v) => v
+            .parse()
+            .map(Some)
+            .map_err(|e| ConfigError(format!("{var}={v:?}: {e}"))),
+    }
+}
+
 /// All knobs of a simulation run. `Default` reproduces Table 1's default
-/// column; the figure harnesses sweep individual fields.
+/// column; the figure harnesses sweep individual fields. Build one with
+/// struct-update syntax or the `with_*` setters, then
+/// [`validate`](Self::validate) it; the command-line drivers set fields
+/// one flag table with [`apply_flag`](Self::apply_flag).
 #[derive(Debug, Clone)]
 pub struct SimConfig {
     /// Master seed; every run with the same seed and parameters produces
@@ -216,18 +256,14 @@ pub struct SimConfig {
     /// fault-tolerance layer (leases, heartbeats, soft-state refresh).
     /// Heartbeats fire every `max(1, lease_ticks / 2)` ticks.
     pub lease_ticks: usize,
-    /// Server partitions for the grid-sharded cluster tier. `0` (the
-    /// default) means auto: the `MOBIEYES_PARTITIONS` environment variable
-    /// if set, otherwise 1. A resolved count of 1 runs the plain
-    /// single-server path; results are byte-identical at every partition
-    /// count (see [`resolved_partitions`](Self::resolved_partitions)).
+    /// Server partitions for the grid-sharded cluster tier (default 1,
+    /// the plain single-server path). Results are byte-identical at every
+    /// partition count.
     pub partitions: usize,
     /// Rebalance cadence for the cluster tier: recompute the partition
-    /// map from observed load every `n` ticks. `0` (the default) means
-    /// auto: the `MOBIEYES_REBALANCE_TICKS` environment variable if set,
-    /// otherwise off. Ignored on the single-server path. Rebalancing
-    /// never changes query results — only the load split (see
-    /// [`resolved_rebalance_ticks`](Self::resolved_rebalance_ticks)).
+    /// map from observed load every `n` ticks (0, the default, = off).
+    /// Ignored on the single-server path. Rebalancing never changes query
+    /// results — only the load split.
     pub rebalance_ticks: usize,
     /// Inter-server bus backend for the cluster tier. `None` (the
     /// default) means auto: the `MOBIEYES_TRANSPORT` environment variable
@@ -235,42 +271,28 @@ pub struct SimConfig {
     /// results are identical on every backend (see
     /// [`resolved_transport`](Self::resolved_transport)).
     pub transport: Option<TransportKind>,
-    /// Agent tick-engine variant. `None` (the default) means auto: the
-    /// `MOBIEYES_ENGINE` environment variable if set, otherwise the
-    /// struct-of-arrays fast path. Results are protocol-identical on
-    /// either engine (see [`resolved_engine`](Self::resolved_engine)).
-    pub engine: Option<EngineKind>,
-    /// Tick at which the crash-injection plan kills partitions (once per
-    /// run). `0` (the default) means auto: the
-    /// `MOBIEYES_PARTITION_CRASH_TICKS` environment variable if set,
-    /// otherwise off. Victims are drawn deterministically from the seed;
-    /// partition 0 (the epoch anchor) is never chosen. Requires the
-    /// cluster tier (see
-    /// [`resolved_partition_crash_ticks`](Self::resolved_partition_crash_ticks)).
+    /// Agent tick-engine variant. Results are protocol-identical on
+    /// either engine.
+    pub engine: EngineKind,
+    /// Measured tick at which the crash-injection plan kills partitions
+    /// (once per run; 0, the default, = off). Victims are drawn
+    /// deterministically from the seed; partition 0 (the epoch anchor) is
+    /// never chosen. Requires the cluster tier.
     pub partition_crash_ticks: usize,
-    /// Partitions killed at the crash tick. `0` (the default) means auto:
-    /// the `MOBIEYES_PARTITION_CRASH_KILLS` environment variable if set,
-    /// otherwise 1. Clamped to `partitions - 1` so at least one partition
-    /// survives (see
-    /// [`resolved_partition_crash_kills`](Self::resolved_partition_crash_kills)).
+    /// Partitions killed at the crash tick (default 1). Must leave at
+    /// least one partition alive.
     pub partition_crash_kills: usize,
-    /// Recovery mode for crashed partitions. `None` (the default) means
-    /// auto: the `MOBIEYES_RECOVERY` environment variable if set,
-    /// otherwise failover (see
-    /// [`resolved_recovery`](Self::resolved_recovery)).
-    pub recovery: Option<RecoveryKind>,
+    /// Recovery mode for crashed partitions.
+    pub recovery: RecoveryKind,
     /// Root directory of the durable trajectory logs (`<dir>/p<N>` per
-    /// partition). `None` (the default) means auto: the
-    /// `MOBIEYES_STORE_DIR` environment variable if set, otherwise no
-    /// persistence (see [`resolved_store_dir`](Self::resolved_store_dir)).
-    /// Existing logs under the directory are replayed into the server
-    /// tier at build — point a fresh run at a fresh directory.
-    pub store_dir: Option<std::path::PathBuf>,
+    /// partition). `None` or an empty path (the default) means no
+    /// persistence (see [`store_root`](Self::store_root)). Existing logs
+    /// under the directory are replayed into the server tier at build —
+    /// point a fresh run at a fresh directory.
+    pub store_dir: Option<PathBuf>,
     /// Checkpoint cadence in ticks for the durable logs (snapshot +
-    /// segment GC; this is what bounds log growth). `0` (the default)
-    /// means auto: the `MOBIEYES_STORE_CHECKPOINT_TICKS` environment
-    /// variable if set, otherwise no periodic checkpoints (see
-    /// [`resolved_store_checkpoint_ticks`](Self::resolved_store_checkpoint_ticks)).
+    /// segment GC; this is what bounds log growth). 0 (the default) = no
+    /// periodic checkpoints.
     pub store_checkpoint_ticks: usize,
 }
 
@@ -304,13 +326,13 @@ impl Default for SimConfig {
             dup_rate: 0.0,
             churn_rate: 0.0,
             lease_ticks: 0,
-            partitions: 0,
+            partitions: 1,
             rebalance_ticks: 0,
             transport: None,
-            engine: None,
+            engine: EngineKind::Soa,
             partition_crash_ticks: 0,
-            partition_crash_kills: 0,
-            recovery: None,
+            partition_crash_kills: 1,
+            recovery: RecoveryKind::Failover,
             store_dir: None,
             store_checkpoint_ticks: 0,
         }
@@ -318,11 +340,6 @@ impl Default for SimConfig {
 }
 
 impl SimConfig {
-    /// Starts a validated fluent builder from the Table 1 defaults.
-    pub fn builder() -> SimConfigBuilder {
-        SimConfigBuilder::default()
-    }
-
     /// Side length of the square universe of discourse, miles.
     pub fn side(&self) -> f64 {
         self.area.sqrt()
@@ -424,7 +441,7 @@ impl SimConfig {
     }
 
     pub fn with_engine(mut self, e: EngineKind) -> Self {
-        self.engine = Some(e);
+        self.engine = e;
         self
     }
 
@@ -439,11 +456,11 @@ impl SimConfig {
     }
 
     pub fn with_recovery(mut self, r: RecoveryKind) -> Self {
-        self.recovery = Some(r);
+        self.recovery = r;
         self
     }
 
-    pub fn with_store_dir(mut self, dir: impl Into<std::path::PathBuf>) -> Self {
+    pub fn with_store_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.store_dir = Some(dir.into());
         self
     }
@@ -457,177 +474,47 @@ impl SimConfig {
     /// `threads > 0` wins; otherwise a positive `MOBIEYES_THREADS`
     /// environment variable; otherwise the machine's available
     /// parallelism. Always at least 1.
+    ///
+    /// # Panics
+    /// When `MOBIEYES_THREADS` does not parse ([`validate`](Self::validate)
+    /// reports the same error without panicking).
     pub fn resolved_threads(&self) -> usize {
         if self.threads > 0 {
             return self.threads;
         }
-        if let Ok(v) = std::env::var("MOBIEYES_THREADS") {
-            if let Ok(n) = v.parse::<usize>() {
-                if n > 0 {
-                    return n;
-                }
-            }
-        }
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    }
-
-    /// Resolves the effective server-partition count: an explicit
-    /// `partitions > 0` wins; otherwise a positive `MOBIEYES_PARTITIONS`
-    /// environment variable; otherwise 1 (the single-server path).
-    pub fn resolved_partitions(&self) -> usize {
-        if self.partitions > 0 {
-            return self.partitions;
-        }
-        if let Ok(v) = std::env::var("MOBIEYES_PARTITIONS") {
-            if let Ok(n) = v.parse::<usize>() {
-                if n > 0 {
-                    return n;
-                }
-            }
-        }
-        1
-    }
-
-    /// Resolves the effective rebalance cadence (in ticks): an explicit
-    /// `rebalance_ticks > 0` wins; otherwise a positive
-    /// `MOBIEYES_REBALANCE_TICKS` environment variable; otherwise 0
-    /// (rebalancing off).
-    pub fn resolved_rebalance_ticks(&self) -> usize {
-        if self.rebalance_ticks > 0 {
-            return self.rebalance_ticks;
-        }
-        if let Ok(v) = std::env::var("MOBIEYES_REBALANCE_TICKS") {
-            if let Ok(n) = v.parse::<usize>() {
-                if n > 0 {
-                    return n;
-                }
-            }
-        }
-        0
+        env_knob::<usize>(THREADS_ENV)
+            .unwrap_or_else(|e| panic!("{e}"))
+            .filter(|&n| n > 0)
+            .unwrap_or_else(|| {
+                std::thread::available_parallelism()
+                    .map(|n| n.get())
+                    .unwrap_or(1)
+            })
     }
 
     /// Resolves the effective bus backend: an explicit `transport` wins;
-    /// otherwise a valid `MOBIEYES_TRANSPORT` environment variable;
-    /// otherwise lock-step.
+    /// otherwise the `MOBIEYES_TRANSPORT` environment variable; otherwise
+    /// lock-step.
+    ///
+    /// # Panics
+    /// When `MOBIEYES_TRANSPORT` does not parse ([`validate`](Self::validate)
+    /// reports the same error without panicking).
     pub fn resolved_transport(&self) -> TransportKind {
-        if let Some(t) = self.transport {
-            return t;
+        match self.transport {
+            Some(t) => t,
+            None => env_knob(TRANSPORT_ENV)
+                .unwrap_or_else(|e| panic!("{e}"))
+                .unwrap_or_default(),
         }
-        if let Ok(v) = std::env::var("MOBIEYES_TRANSPORT") {
-            if let Ok(t) = TransportKind::parse(&v) {
-                return t;
-            }
-        }
-        TransportKind::default()
     }
 
-    /// Resolves the effective agent tick engine: an explicit `engine`
-    /// wins; otherwise a valid `MOBIEYES_ENGINE` environment variable;
-    /// otherwise the struct-of-arrays fast path.
-    pub fn resolved_engine(&self) -> EngineKind {
-        if let Some(e) = self.engine {
-            return e;
-        }
-        if let Ok(v) = std::env::var("MOBIEYES_ENGINE") {
-            if let Ok(e) = EngineKind::parse(&v) {
-                return e;
-            }
-        }
-        EngineKind::default()
-    }
-
-    /// Resolves the crash-injection tick: an explicit
-    /// `partition_crash_ticks > 0` wins; otherwise a positive
-    /// `MOBIEYES_PARTITION_CRASH_TICKS` environment variable; otherwise 0
-    /// (crash injection off).
-    pub fn resolved_partition_crash_ticks(&self) -> usize {
-        if self.partition_crash_ticks > 0 {
-            return self.partition_crash_ticks;
-        }
-        if let Ok(v) = std::env::var("MOBIEYES_PARTITION_CRASH_TICKS") {
-            if let Ok(n) = v.parse::<usize>() {
-                if n > 0 {
-                    return n;
-                }
-            }
-        }
-        0
-    }
-
-    /// Resolves the number of partitions killed at the crash tick: an
-    /// explicit `partition_crash_kills > 0` wins; otherwise a positive
-    /// `MOBIEYES_PARTITION_CRASH_KILLS` environment variable; otherwise 1.
-    /// The crash plan additionally clamps the count to `partitions - 1` so
-    /// at least one partition survives.
-    pub fn resolved_partition_crash_kills(&self) -> usize {
-        if self.partition_crash_kills > 0 {
-            return self.partition_crash_kills;
-        }
-        if let Ok(v) = std::env::var("MOBIEYES_PARTITION_CRASH_KILLS") {
-            if let Ok(n) = v.parse::<usize>() {
-                if n > 0 {
-                    return n;
-                }
-            }
-        }
-        1
-    }
-
-    /// Resolves the crash-recovery mode: an explicit `recovery` wins;
-    /// otherwise a valid `MOBIEYES_RECOVERY` environment variable;
-    /// otherwise failover.
-    pub fn resolved_recovery(&self) -> RecoveryKind {
-        if let Some(r) = self.recovery {
-            return r;
-        }
-        if let Ok(v) = std::env::var("MOBIEYES_RECOVERY") {
-            if let Ok(r) = RecoveryKind::parse(&v) {
-                return r;
-            }
-        }
-        RecoveryKind::default()
-    }
-
-    /// Resolves the durable-log root directory: an explicit `store_dir`
-    /// wins; otherwise a non-empty `MOBIEYES_STORE_DIR` environment
-    /// variable; otherwise `None` (persistence off). An explicitly empty
-    /// path (`with_store_dir("")`) pins persistence OFF even when the
-    /// environment variable is set — drivers that run a reference twin
-    /// in the same process use it so both deployments never share (or
-    /// accidentally inherit) a log directory.
-    pub fn resolved_store_dir(&self) -> Option<std::path::PathBuf> {
-        if let Some(d) = &self.store_dir {
-            if d.as_os_str().is_empty() {
-                return None;
-            }
-            return Some(d.clone());
-        }
-        if let Ok(v) = std::env::var("MOBIEYES_STORE_DIR") {
-            if !v.is_empty() {
-                return Some(std::path::PathBuf::from(v));
-            }
-        }
-        None
-    }
-
-    /// Resolves the checkpoint cadence (in ticks) for the durable logs:
-    /// an explicit `store_checkpoint_ticks > 0` wins; otherwise a
-    /// positive `MOBIEYES_STORE_CHECKPOINT_TICKS` environment variable;
-    /// otherwise 0 (periodic checkpoints off).
-    pub fn resolved_store_checkpoint_ticks(&self) -> usize {
-        if self.store_checkpoint_ticks > 0 {
-            return self.store_checkpoint_ticks;
-        }
-        if let Ok(v) = std::env::var("MOBIEYES_STORE_CHECKPOINT_TICKS") {
-            if let Ok(n) = v.parse::<usize>() {
-                if n > 0 {
-                    return n;
-                }
-            }
-        }
-        0
+    /// The durable-log root, or `None` when persistence is off (`store_dir`
+    /// unset or empty — an empty path lets a driver pin the journal off
+    /// explicitly).
+    pub fn store_root(&self) -> Option<&Path> {
+        self.store_dir
+            .as_deref()
+            .filter(|d| !d.as_os_str().is_empty())
     }
 
     /// Number of grid cells the run's universe decomposes into, matching
@@ -642,304 +529,332 @@ impl SimConfig {
     pub fn measured_seconds(&self) -> f64 {
         self.ticks as f64 * self.time_step
     }
-}
 
-/// Fluent, validating construction of [`SimConfig`].
-///
-/// Unlike the raw struct (whose fields remain public for sweeps), the
-/// builder rejects configurations the simulator cannot meaningfully run:
-/// non-positive α, zero objects, a non-positive radius factor, and the
-/// analogous degenerate values for the remaining knobs.
-#[derive(Debug, Clone, Default)]
-pub struct SimConfigBuilder {
-    config: SimConfig,
-}
-
-impl SimConfigBuilder {
-    /// Starts from an existing configuration instead of the defaults.
-    pub fn from_config(config: SimConfig) -> Self {
-        SimConfigBuilder { config }
-    }
-
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.config.seed = seed;
-        self
-    }
-
-    pub fn time_step(mut self, seconds: f64) -> Self {
-        self.config.time_step = seconds;
-        self
-    }
-
-    pub fn ticks(mut self, ticks: usize) -> Self {
-        self.config.ticks = ticks;
-        self
-    }
-
-    pub fn warmup_ticks(mut self, ticks: usize) -> Self {
-        self.config.warmup_ticks = ticks;
-        self
-    }
-
-    pub fn alpha(mut self, alpha: f64) -> Self {
-        self.config.alpha = alpha;
-        self
-    }
-
-    pub fn objects(mut self, n: usize) -> Self {
-        self.config.num_objects = n;
-        self
-    }
-
-    pub fn queries(mut self, n: usize) -> Self {
-        self.config.num_queries = n;
-        self
-    }
-
-    pub fn objects_changing_velocity(mut self, n: usize) -> Self {
-        self.config.objects_changing_velocity = n;
-        self
-    }
-
-    pub fn area(mut self, square_miles: f64) -> Self {
-        self.config.area = square_miles;
-        self
-    }
-
-    pub fn alen(mut self, miles: f64) -> Self {
-        self.config.alen = miles;
-        self
-    }
-
-    pub fn radius_factor(mut self, factor: f64) -> Self {
-        self.config.radius_factor = factor;
-        self
-    }
-
-    pub fn selectivity(mut self, s: f64) -> Self {
-        self.config.selectivity = s;
-        self
-    }
-
-    pub fn delta(mut self, miles: f64) -> Self {
-        self.config.delta = miles;
-        self
-    }
-
-    pub fn propagation(mut self, p: Propagation) -> Self {
-        self.config.propagation = p;
-        self
-    }
-
-    pub fn grouping(mut self, on: bool) -> Self {
-        self.config.grouping = on;
-        self
-    }
-
-    pub fn safe_period(mut self, on: bool) -> Self {
-        self.config.safe_period = on;
-        self
-    }
-
-    pub fn mobility(mut self, kind: MobilityKind) -> Self {
-        self.config.mobility = kind;
-        self
-    }
-
-    pub fn focal_pool(mut self, k: usize) -> Self {
-        self.config.focal_pool = Some(k);
-        self
-    }
-
-    /// Worker threads for the parallel tick engine; `0` = auto (see
-    /// [`SimConfig::resolved_threads`]).
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.config.threads = threads;
-        self
-    }
-
-    /// Uplink drop probability ([0, 1]).
-    pub fn uplink_drop(mut self, p: f64) -> Self {
-        self.config.uplink_drop = p;
-        self
-    }
-
-    /// Downlink drop probability ([0, 1]).
-    pub fn downlink_drop(mut self, p: f64) -> Self {
-        self.config.downlink_drop = p;
-        self
-    }
-
-    /// Duplication probability for delivered messages ([0, 1]).
-    pub fn dup_rate(mut self, p: f64) -> Self {
-        self.config.dup_rate = p;
-        self
-    }
-
-    /// Fraction of objects given an offline window ([0, 1]).
-    pub fn churn_rate(mut self, p: f64) -> Self {
-        self.config.churn_rate = p;
-        self
-    }
-
-    /// Focal-object lease duration in ticks (0 = fault tolerance off).
-    pub fn lease_ticks(mut self, ticks: usize) -> Self {
-        self.config.lease_ticks = ticks;
-        self
-    }
-
-    /// Server partitions for the sharded cluster tier; `0` = auto (see
-    /// [`SimConfig::resolved_partitions`]).
-    pub fn partitions(mut self, partitions: usize) -> Self {
-        self.config.partitions = partitions;
-        self
-    }
-
-    /// Rebalance cadence in ticks for the cluster tier; `0` = auto (see
-    /// [`SimConfig::resolved_rebalance_ticks`]).
-    pub fn rebalance_ticks(mut self, ticks: usize) -> Self {
-        self.config.rebalance_ticks = ticks;
-        self
-    }
-
-    /// Inter-server bus backend; unset = auto (see
-    /// [`SimConfig::resolved_transport`]).
-    pub fn transport(mut self, t: TransportKind) -> Self {
-        self.config.transport = Some(t);
-        self
-    }
-
-    /// Agent tick-engine variant; unset = auto (see
-    /// [`SimConfig::resolved_engine`]).
-    pub fn engine(mut self, e: EngineKind) -> Self {
-        self.config.engine = Some(e);
-        self
-    }
-
-    /// Tick at which the crash plan kills partitions; `0` = auto (see
-    /// [`SimConfig::resolved_partition_crash_ticks`]).
-    pub fn partition_crash_ticks(mut self, tick: usize) -> Self {
-        self.config.partition_crash_ticks = tick;
-        self
-    }
-
-    /// Partitions killed at the crash tick; `0` = auto (see
-    /// [`SimConfig::resolved_partition_crash_kills`]).
-    pub fn partition_crash_kills(mut self, kills: usize) -> Self {
-        self.config.partition_crash_kills = kills;
-        self
-    }
-
-    /// Crash-recovery mode; unset = auto (see
-    /// [`SimConfig::resolved_recovery`]).
-    pub fn recovery(mut self, r: RecoveryKind) -> Self {
-        self.config.recovery = Some(r);
-        self
-    }
-
-    /// Durable-log root directory; unset = auto (see
-    /// [`SimConfig::resolved_store_dir`]).
-    pub fn store_dir(mut self, dir: impl Into<std::path::PathBuf>) -> Self {
-        self.config.store_dir = Some(dir.into());
-        self
-    }
-
-    /// Checkpoint cadence for the durable logs; `0` = auto (see
-    /// [`SimConfig::resolved_store_checkpoint_ticks`]).
-    pub fn store_checkpoint_ticks(mut self, ticks: usize) -> Self {
-        self.config.store_checkpoint_ticks = ticks;
-        self
-    }
-
-    /// Validates and returns the configuration.
-    pub fn build(self) -> Result<SimConfig, ConfigError> {
+    /// Rejects configurations the simulator cannot meaningfully run —
+    /// non-positive α, zero objects, out-of-range probabilities, more
+    /// partitions than grid cells, a crash plan without a survivor — and
+    /// environment overrides that do not parse. Messages name the flag
+    /// (or variable) that set the bad value.
+    pub fn validate(self) -> Result<SimConfig, ConfigError> {
         // Written to reject NaN along with non-positive values.
         let positive = |v: f64| v.partial_cmp(&0.0) == Some(std::cmp::Ordering::Greater);
         let err = |msg: String| Err(ConfigError(msg));
-        let c = self.config;
-        if !positive(c.alpha) {
-            return err(format!("alpha must be > 0 (got {})", c.alpha));
+        let c = self;
+        for (flag, v) in [
+            ("--alpha", c.alpha),
+            ("--radius-factor", c.radius_factor),
+            ("time_step", c.time_step),
+            ("--area", c.area),
+            ("--alen", c.alen),
+            ("--delta", c.delta),
+        ] {
+            if !positive(v) {
+                return err(format!("{flag} must be > 0 (got {v})"));
+            }
         }
-        if c.num_objects == 0 {
-            return err("num_objects must be > 0".to_string());
+        for (flag, v) in [
+            ("selectivity", c.selectivity),
+            ("--uplink-drop", c.uplink_drop),
+            ("--downlink-drop", c.downlink_drop),
+            ("--dup-rate", c.dup_rate),
+            ("--churn-rate", c.churn_rate),
+        ] {
+            // `!(..).contains()` also rejects NaN.
+            if !(0.0..=1.0).contains(&v) {
+                return err(format!("{flag} must be within [0, 1] (got {v})"));
+            }
         }
-        if !positive(c.radius_factor) {
-            return err(format!(
-                "radius_factor must be > 0 (got {})",
-                c.radius_factor
-            ));
-        }
-        if !positive(c.time_step) {
-            return err(format!("time_step must be > 0 (got {})", c.time_step));
-        }
-        if !positive(c.area) {
-            return err(format!("area must be > 0 (got {})", c.area));
-        }
-        if !positive(c.alen) {
-            return err(format!("alen must be > 0 (got {})", c.alen));
-        }
-        if !positive(c.delta) {
-            return err(format!("delta must be > 0 (got {})", c.delta));
-        }
-        if !(0.0..=1.0).contains(&c.selectivity) {
-            return err(format!(
-                "selectivity must be within [0, 1] (got {})",
-                c.selectivity
-            ));
-        }
-        if c.ticks == 0 {
-            return err("ticks must be > 0".to_string());
+        for (flag, n) in [
+            ("--objects", c.num_objects),
+            ("--ticks", c.ticks),
+            ("--partitions", c.partitions),
+        ] {
+            if n == 0 {
+                return err(format!("{flag} must be > 0"));
+            }
         }
         if c.radius_means.is_empty() || c.speed_classes_mph.is_empty() {
             return err("radius_means and speed_classes_mph must be non-empty".to_string());
         }
         if c.focal_pool == Some(0) {
-            return err("focal_pool must be > 0 when set".to_string());
-        }
-        for (name, v) in [
-            ("uplink_drop", c.uplink_drop),
-            ("downlink_drop", c.downlink_drop),
-            ("dup_rate", c.dup_rate),
-            ("churn_rate", c.churn_rate),
-        ] {
-            // `!(..).contains()` also rejects NaN.
-            if !(0.0..=1.0).contains(&v) {
-                return err(format!("{name} must be within [0, 1] (got {v})"));
-            }
+            return err("--focal-pool must be > 0 when set".to_string());
         }
         // The cluster tier needs at least one grid cell per partition;
         // catching this here turns a `PartitionMap::contiguous` panic
         // deep inside the run into a clear configuration error.
         let cells = c.grid_cells();
-        let partitions = c.resolved_partitions();
-        if partitions > cells {
+        if c.partitions > cells {
             return err(format!(
-                "partitions ({partitions}) exceeds the grid's cell count ({cells}); \
-                 shrink --partitions (or MOBIEYES_PARTITIONS), lower alpha, or grow the area"
+                "--partitions ({}) exceeds the grid's cell count ({cells}); \
+                 shrink --partitions, lower --alpha, or grow --area",
+                c.partitions
             ));
         }
-        // Crash injection needs a survivor to fail over to; the plan also
-        // clamps, but an explicit impossible request is a config error.
-        if c.partition_crash_ticks > 0 && partitions < 2 {
-            return err(format!(
-                "partition_crash_ticks requires at least 2 partitions (got {partitions})"
-            ));
+        // Crash injection needs a survivor to fail over to.
+        if c.partition_crash_ticks > 0 {
+            if c.partitions < 2 {
+                return err(format!(
+                    "--partition-crash-ticks requires at least 2 partitions (got {})",
+                    c.partitions
+                ));
+            }
+            if c.partition_crash_kills == 0 || c.partition_crash_kills >= c.partitions {
+                return err(format!(
+                    "--partition-crash-kills must be between 1 and {} for {} partitions (got {})",
+                    c.partitions - 1,
+                    c.partitions,
+                    c.partition_crash_kills
+                ));
+            }
         }
-        if c.partition_crash_kills > 0 && c.partition_crash_kills >= partitions {
-            return err(format!(
-                "partition_crash_kills ({}) must leave a survivor out of {partitions} partitions",
-                c.partition_crash_kills
-            ));
+        if c.threads == 0 {
+            env_knob::<usize>(THREADS_ENV)?;
+        }
+        if c.transport.is_none() {
+            env_knob::<TransportKind>(TRANSPORT_ENV)?;
         }
         Ok(c)
     }
 
-    /// [`build`](Self::build) that panics on invalid input — for the
-    /// figure binaries, where a bad sweep value is a programming error.
-    pub fn build_or_panic(self) -> SimConfig {
-        self.build()
-            .unwrap_or_else(|e| panic!("invalid SimConfig: {e}"))
+    /// Applies one command-line flag from the flag table, taking its value (if
+    /// it has one) from `args`. An unknown flag, a missing value or one
+    /// that does not parse is an error naming the flag; range checks are
+    /// [`validate`](Self::validate)'s.
+    pub fn apply_flag(
+        &mut self,
+        flag: &str,
+        args: &mut impl Iterator<Item = String>,
+    ) -> Result<(), ConfigError> {
+        let entry = FLAGS
+            .iter()
+            .find(|f| f.name == flag)
+            .ok_or_else(|| ConfigError(format!("unknown flag {flag}")))?;
+        let value = match entry.value {
+            "" => String::new(),
+            name => args
+                .next()
+                .ok_or_else(|| ConfigError(format!("{flag} needs a value <{name}>")))?,
+        };
+        (entry.set)(self, &value).map_err(|e| ConfigError(format!("{flag} {value:?}: {e}")))
     }
+}
+
+/// One command-line knob of [`SimConfig`]: the flag, the name of its
+/// value (empty for a switch), a help line, and the field it reads and
+/// writes.
+struct Flag {
+    name: &'static str,
+    value: &'static str,
+    help: &'static str,
+    /// Renders the field's current value (empty when unset).
+    get: fn(&SimConfig) -> String,
+    /// Parses a value into the field (switches receive an empty string).
+    set: fn(&mut SimConfig, &str) -> Result<(), String>,
+}
+
+fn parse<T: FromStr>(v: &str) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    v.parse().map_err(|e: T::Err| e.to_string())
+}
+
+/// A valued flag over a field whose type is `FromStr + Display`.
+macro_rules! knob {
+    ($name:literal, $value:literal, $field:ident, $help:literal) => {
+        Flag {
+            name: $name,
+            value: $value,
+            help: $help,
+            get: |c| c.$field.to_string(),
+            set: |c, v| {
+                c.$field = parse(v)?;
+                Ok(())
+            },
+        }
+    };
+}
+
+/// A switch that turns a `bool` field on.
+macro_rules! switch {
+    ($name:literal, $field:ident, $help:literal) => {
+        Flag {
+            name: $name,
+            value: "",
+            help: $help,
+            get: |c| c.$field.to_string(),
+            set: |c, _| {
+                c.$field = true;
+                Ok(())
+            },
+        }
+    };
+}
+
+/// Every [`SimConfig`] knob settable from a command line — the only flag
+/// parser ([`SimConfig::apply_flag`]) and help renderer ([`flags_help`])
+/// the drivers use.
+const FLAGS: &[Flag] = &[
+    knob!("--seed", "N", seed, "RNG seed"),
+    knob!("--objects", "N", num_objects, "number of moving objects"),
+    knob!("--queries", "N", num_queries, "number of moving queries"),
+    knob!(
+        "--nmo",
+        "N",
+        objects_changing_velocity,
+        "velocity changes per time step"
+    ),
+    knob!("--alpha", "MILES", alpha, "grid cell side length"),
+    knob!("--alen", "MILES", alen, "base station side length"),
+    knob!("--area", "SQMI", area, "universe area"),
+    knob!("--ticks", "N", ticks, "measured time steps"),
+    knob!("--warmup", "N", warmup_ticks, "warm-up time steps"),
+    knob!("--delta", "MILES", delta, "dead-reckoning threshold"),
+    knob!(
+        "--radius-factor",
+        "F",
+        radius_factor,
+        "query radius multiplier"
+    ),
+    Flag {
+        name: "--focal-pool",
+        value: "N",
+        help: "draw focal objects from the first N objects only (unset = all)",
+        get: |c| c.focal_pool.map(|k| k.to_string()).unwrap_or_default(),
+        set: |c, v| {
+            c.focal_pool = Some(parse(v)?);
+            Ok(())
+        },
+    },
+    switch!("--grouping", grouping, "enable query grouping"),
+    switch!(
+        "--safe-period",
+        safe_period,
+        "enable the safe-period optimization"
+    ),
+    knob!(
+        "--threads",
+        "N",
+        threads,
+        "tick-engine worker threads; 0 = MOBIEYES_THREADS, else the host CPU count"
+    ),
+    knob!(
+        "--engine",
+        "E",
+        engine,
+        "tick engine: soa (skips provably inert agents) | seed; results are identical"
+    ),
+    knob!(
+        "--partitions",
+        "N",
+        partitions,
+        "grid-sharded server partitions; results are identical at every count"
+    ),
+    Flag {
+        name: "--transport",
+        value: "T",
+        help:
+            "cluster bus backend: lockstep | tcp | uds; unset = MOBIEYES_TRANSPORT, else lockstep",
+        get: |c| c.transport.map(|t| t.to_string()).unwrap_or_default(),
+        set: |c, v| {
+            c.transport = Some(parse(v)?);
+            Ok(())
+        },
+    },
+    knob!(
+        "--rebalance-ticks",
+        "N",
+        rebalance_ticks,
+        "rebalance the partition map from observed load every N ticks (0 = off)"
+    ),
+    knob!(
+        "--partition-crash-ticks",
+        "N",
+        partition_crash_ticks,
+        "kill seeded victim partitions at measured tick N and recover (0 = off)"
+    ),
+    knob!(
+        "--partition-crash-kills",
+        "N",
+        partition_crash_kills,
+        "partitions killed at the crash tick"
+    ),
+    knob!(
+        "--recovery",
+        "R",
+        recovery,
+        "crash recovery: failover (survivors keep the cells) | respawn (victims restart)"
+    ),
+    Flag {
+        name: "--store-dir",
+        value: "P",
+        help: "journal server inputs to durable logs under P, one p<N> per partition (unset = off)",
+        get: |c| {
+            c.store_root()
+                .map(|p| p.display().to_string())
+                .unwrap_or_default()
+        },
+        set: |c, v| {
+            c.store_dir = Some(PathBuf::from(v));
+            Ok(())
+        },
+    },
+    knob!(
+        "--checkpoint-ticks",
+        "N",
+        store_checkpoint_ticks,
+        "checkpoint the durable logs every N ticks (0 = off)"
+    ),
+    knob!(
+        "--uplink-drop",
+        "P",
+        uplink_drop,
+        "uplink message drop probability (0..=1)"
+    ),
+    knob!(
+        "--downlink-drop",
+        "P",
+        downlink_drop,
+        "downlink message drop probability (0..=1)"
+    ),
+    knob!(
+        "--dup-rate",
+        "P",
+        dup_rate,
+        "message duplication probability (0..=1)"
+    ),
+    knob!(
+        "--churn-rate",
+        "P",
+        churn_rate,
+        "fraction of objects that disconnect (0..=1)"
+    ),
+    knob!(
+        "--lease-ticks",
+        "N",
+        lease_ticks,
+        "focal-object lease duration in ticks; 0 disables the fault-tolerance layer"
+    ),
+];
+
+/// Renders one help line per flag-table entry, each valued flag's default
+/// read from `base` — the configuration the driver starts from.
+pub fn flags_help(base: &SimConfig) -> String {
+    FLAGS
+        .iter()
+        .map(|f| {
+            let head = match f.value {
+                "" => f.name.to_string(),
+                value => format!("{} <{value}>", f.name),
+            };
+            let default = match (f.value, (f.get)(base)) {
+                ("", _) => String::new(),
+                (_, d) if d.is_empty() => String::new(),
+                (_, d) => format!(" [default: {d}]"),
+            };
+            format!("    {head:<29} {}{default}\n", f.help)
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -984,228 +899,219 @@ mod tests {
     }
 
     #[test]
-    fn builder_accepts_valid_configs() {
-        let c = SimConfig::builder()
-            .seed(7)
-            .alpha(2.0)
-            .objects(500)
-            .queries(50)
-            .radius_factor(1.5)
-            .build()
-            .unwrap();
+    fn validate_accepts_valid_configs() {
+        let c = SimConfig {
+            seed: 7,
+            num_objects: 500,
+            uplink_drop: 0.3,
+            churn_rate: 0.15,
+            ..SimConfig::default()
+        }
+        .with_alpha(2.0)
+        .with_radius_factor(1.5)
+        .with_lease_ticks(6)
+        .validate()
+        .unwrap();
         assert_eq!(c.seed, 7);
         assert_eq!(c.alpha, 2.0);
         assert_eq!(c.num_objects, 500);
-        assert_eq!(c.num_queries, 50);
-        assert_eq!(c.radius_factor, 1.5);
-    }
-
-    #[test]
-    fn builder_rejects_degenerate_values() {
-        assert!(SimConfig::builder().alpha(0.0).build().is_err());
-        assert!(SimConfig::builder().alpha(-1.0).build().is_err());
-        assert!(SimConfig::builder().alpha(f64::NAN).build().is_err());
-        assert!(SimConfig::builder().objects(0).build().is_err());
-        assert!(SimConfig::builder().radius_factor(0.0).build().is_err());
-        assert!(SimConfig::builder().radius_factor(-2.0).build().is_err());
-        assert!(SimConfig::builder().time_step(0.0).build().is_err());
-        assert!(SimConfig::builder().selectivity(1.5).build().is_err());
-        assert!(SimConfig::builder().focal_pool(0).build().is_err());
-        assert!(SimConfig::builder().uplink_drop(1.5).build().is_err());
-        assert!(SimConfig::builder().downlink_drop(-0.1).build().is_err());
-        assert!(SimConfig::builder().dup_rate(f64::NAN).build().is_err());
-        assert!(SimConfig::builder().churn_rate(2.0).build().is_err());
-    }
-
-    #[test]
-    fn builder_accepts_fault_knobs() {
-        let c = SimConfig::builder()
-            .uplink_drop(0.3)
-            .downlink_drop(0.2)
-            .dup_rate(0.1)
-            .churn_rate(0.15)
-            .lease_ticks(6)
-            .build()
-            .unwrap();
         assert_eq!(c.uplink_drop, 0.3);
-        assert_eq!(c.downlink_drop, 0.2);
-        assert_eq!(c.dup_rate, 0.1);
-        assert_eq!(c.churn_rate, 0.15);
         assert_eq!(c.lease_ticks, 6);
     }
 
     #[test]
-    fn thread_resolution_precedence() {
-        // An explicit count always wins.
-        assert_eq!(SimConfig::default().with_threads(3).resolved_threads(), 3);
-        assert_eq!(SimConfig::builder().threads(2).build().unwrap().threads, 2);
-        // Auto resolves to something positive whatever the environment.
-        assert!(SimConfig::default().resolved_threads() >= 1);
+    fn validate_rejects_degenerate_values() {
+        let d = SimConfig::default;
+        for bad in [
+            d().with_alpha(0.0),
+            d().with_alpha(-1.0),
+            d().with_alpha(f64::NAN),
+            d().with_objects(0),
+            d().with_radius_factor(0.0),
+            d().with_radius_factor(-2.0),
+            d().with_focal_pool(0),
+            d().with_partitions(0),
+            SimConfig {
+                time_step: 0.0,
+                ..d()
+            },
+            SimConfig {
+                selectivity: 1.5,
+                ..d()
+            },
+            SimConfig {
+                uplink_drop: 1.5,
+                ..d()
+            },
+            SimConfig {
+                downlink_drop: -0.1,
+                ..d()
+            },
+            SimConfig {
+                dup_rate: f64::NAN,
+                ..d()
+            },
+            SimConfig {
+                churn_rate: 2.0,
+                ..d()
+            },
+        ] {
+            assert!(bad.clone().validate().is_err(), "accepted {bad:?}");
+        }
     }
 
     #[test]
-    fn partition_resolution_precedence() {
-        // An explicit count always wins; auto defaults to 1 when the
-        // environment doesn't say otherwise.
-        assert_eq!(
-            SimConfig::default()
-                .with_partitions(4)
-                .resolved_partitions(),
-            4
-        );
-        assert_eq!(
-            SimConfig::builder()
-                .partitions(2)
-                .build()
-                .unwrap()
-                .partitions,
-            2
-        );
-        assert!(SimConfig::default().resolved_partitions() >= 1);
-    }
-
-    #[test]
-    fn builder_rejects_more_partitions_than_cells() {
+    fn validate_rejects_more_partitions_than_cells() {
         // 100 mi² with α = 5 → a 2×2 grid of 4 cells; 8 partitions can
         // never tile it and used to panic deep inside
         // `PartitionMap::contiguous`.
-        let err = SimConfig::builder()
-            .area(100.0)
-            .alpha(5.0)
-            .partitions(8)
-            .build()
-            .unwrap_err();
+        let tiny = SimConfig {
+            area: 100.0,
+            ..SimConfig::default()
+        };
+        let err = tiny.clone().with_partitions(8).validate().unwrap_err();
         assert!(
             err.to_string().contains("exceeds the grid's cell count"),
             "unhelpful message: {err}"
         );
         // The boundary case (one cell per partition) stays valid.
-        assert!(SimConfig::builder()
-            .area(100.0)
-            .alpha(5.0)
-            .partitions(4)
-            .build()
-            .is_ok());
+        assert!(tiny.with_partitions(4).validate().is_ok());
     }
 
     #[test]
-    fn rebalance_resolution_precedence() {
-        assert_eq!(
-            SimConfig::default()
-                .with_rebalance_ticks(5)
-                .resolved_rebalance_ticks(),
-            5
-        );
-        assert_eq!(
-            SimConfig::builder()
-                .rebalance_ticks(3)
-                .build()
-                .unwrap()
-                .rebalance_ticks,
-            3
-        );
-        // Auto defaults to off (0) when the environment doesn't say
-        // otherwise; the suite never sets MOBIEYES_REBALANCE_TICKS.
-        assert_eq!(SimConfig::default().rebalance_ticks, 0);
+    fn kinds_parse_case_insensitively() {
+        assert_eq!("tcp".parse(), Ok(TransportKind::Tcp));
+        assert_eq!("UDS".parse(), Ok(TransportKind::Uds));
+        assert_eq!("lockstep".parse(), Ok(TransportKind::Lockstep));
+        assert!("carrier-pigeon".parse::<TransportKind>().is_err());
+        assert_eq!("failover".parse(), Ok(RecoveryKind::Failover));
+        assert_eq!("RESPAWN".parse(), Ok(RecoveryKind::Respawn));
+        assert!("reboot".parse::<RecoveryKind>().is_err());
+        assert_eq!("Seed".parse(), Ok(EngineKind::Seed));
+        assert!("sao".parse::<EngineKind>().is_err());
     }
 
     #[test]
-    fn transport_parses_and_resolves() {
-        assert_eq!(TransportKind::parse("tcp").unwrap(), TransportKind::Tcp);
-        assert_eq!(TransportKind::parse("UDS").unwrap(), TransportKind::Uds);
-        assert_eq!(
-            TransportKind::parse("lockstep").unwrap(),
-            TransportKind::Lockstep
-        );
-        assert!(TransportKind::parse("carrier-pigeon").is_err());
-        // Explicit choice wins over the environment.
+    fn explicit_threads_and_transport_win() {
+        assert_eq!(SimConfig::default().with_threads(3).resolved_threads(), 3);
+        assert!(SimConfig::default().resolved_threads() >= 1);
         assert_eq!(
             SimConfig::default()
                 .with_transport(TransportKind::Tcp)
                 .resolved_transport(),
             TransportKind::Tcp
         );
-        assert_eq!(
-            SimConfig::builder()
-                .transport(TransportKind::Uds)
-                .build()
-                .unwrap()
-                .transport,
-            Some(TransportKind::Uds)
-        );
     }
 
     #[test]
-    fn recovery_parses_and_resolves() {
-        assert_eq!(
-            RecoveryKind::parse("failover").unwrap(),
-            RecoveryKind::Failover
-        );
-        assert_eq!(
-            RecoveryKind::parse("RESPAWN").unwrap(),
-            RecoveryKind::Respawn
-        );
-        assert!(RecoveryKind::parse("reboot").is_err());
-        assert_eq!(
-            SimConfig::default()
-                .with_recovery(RecoveryKind::Respawn)
-                .resolved_recovery(),
-            RecoveryKind::Respawn
-        );
-        assert_eq!(
-            SimConfig::builder()
-                .recovery(RecoveryKind::Failover)
-                .build()
-                .unwrap()
-                .recovery,
-            Some(RecoveryKind::Failover)
-        );
-    }
-
-    #[test]
-    fn crash_knob_resolution_and_validation() {
-        // Explicit values win; kills defaults to 1 when unset.
-        let c = SimConfig::default()
+    fn crash_knobs_need_a_survivor() {
+        let crash = SimConfig::default()
             .with_partitions(4)
-            .with_partition_crash_ticks(10)
-            .with_partition_crash_kills(2);
-        assert_eq!(c.resolved_partition_crash_ticks(), 10);
-        assert_eq!(c.resolved_partition_crash_kills(), 2);
-        assert_eq!(
-            SimConfig::default().resolved_partition_crash_kills(),
-            1,
-            "auto kill count is one partition"
-        );
-        // Crashing a single-partition deployment is rejected, as is
-        // killing every partition.
-        assert!(SimConfig::builder()
-            .partitions(1)
-            .partition_crash_ticks(5)
-            .build()
-            .is_err());
-        assert!(SimConfig::builder()
-            .partitions(4)
-            .partition_crash_ticks(5)
-            .partition_crash_kills(4)
-            .build()
-            .is_err());
-        assert!(SimConfig::builder()
-            .partitions(4)
-            .partition_crash_ticks(5)
-            .partition_crash_kills(2)
-            .recovery(RecoveryKind::Respawn)
-            .build()
+            .with_partition_crash_ticks(5);
+        assert_eq!(crash.partition_crash_kills, 1, "one victim by default");
+        assert!(crash.clone().validate().is_ok());
+        for bad in [
+            crash.clone().with_partitions(1),
+            crash.clone().with_partition_crash_kills(4),
+            crash.clone().with_partition_crash_kills(0),
+        ] {
+            assert!(bad.validate().is_err());
+        }
+        assert!(crash
+            .clone()
+            .with_partition_crash_kills(2)
+            .with_recovery(RecoveryKind::Respawn)
+            .validate()
+            .is_ok());
+        // Without a crash tick the kill count is never consulted.
+        assert!(SimConfig::default()
+            .with_partition_crash_kills(0)
+            .validate()
             .is_ok());
     }
 
+    /// A value for every flag that differs from its default; switches
+    /// take none.
+    fn sample(flag: &str) -> &'static str {
+        match flag {
+            "--grouping" | "--safe-period" => "",
+            "--engine" => "seed",
+            "--transport" => "tcp",
+            "--recovery" => "respawn",
+            "--store-dir" => "logs/run",
+            "--alpha" | "--alen" | "--area" | "--delta" | "--radius-factor" => "2.5",
+            "--uplink-drop" | "--downlink-drop" | "--dup-rate" | "--churn-rate" => "0.25",
+            _ => "7",
+        }
+    }
+
     #[test]
-    fn builder_starts_from_existing_config() {
-        let base = SimConfig::small_test(9);
-        let c = SimConfigBuilder::from_config(base.clone())
-            .queries(77)
-            .build()
-            .unwrap();
-        assert_eq!(c.num_objects, base.num_objects);
-        assert_eq!(c.num_queries, 77);
+    fn flag_names_are_unique() {
+        let mut names: Vec<&str> = FLAGS.iter().map(|f| f.name).collect();
+        names.sort_unstable();
+        let before = names.len();
+        names.dedup();
+        assert_eq!(names.len(), before, "duplicate flag in FLAGS");
+    }
+
+    #[test]
+    fn every_flag_sets_its_field() {
+        let base = SimConfig::default();
+        for f in FLAGS {
+            let sample = sample(f.name);
+            let mut c = base.clone();
+            c.apply_flag(f.name, &mut std::iter::once(sample.to_string()))
+                .unwrap_or_else(|e| panic!("{}: {e}", f.name));
+            let expected = if f.value.is_empty() { "true" } else { sample };
+            assert_eq!((f.get)(&c), expected, "{} did not round-trip", f.name);
+            assert_ne!(
+                format!("{c:?}"),
+                format!("{base:?}"),
+                "{} changed nothing",
+                f.name
+            );
+        }
+    }
+
+    #[test]
+    fn bad_flags_are_errors_naming_the_flag() {
+        let mut c = SimConfig::default();
+        let none = || std::iter::empty::<String>();
+        let one = |v: &str| std::iter::once(v.to_string());
+        let err = c.apply_flag("--bogus", &mut none()).unwrap_err();
+        assert!(err.0.contains("--bogus"), "{err}");
+        let err = c.apply_flag("--objects", &mut none()).unwrap_err();
+        assert!(err.0.contains("--objects"), "{err}");
+        let err = c.apply_flag("--objects", &mut one("many")).unwrap_err();
+        assert!(
+            err.0.contains("--objects") && err.0.contains("many"),
+            "{err}"
+        );
+        let err = c.apply_flag("--engine", &mut one("sao")).unwrap_err();
+        assert!(err.0.contains("--engine") && err.0.contains("sao"), "{err}");
+        // Out-of-range values parse, then fail validation naming the flag.
+        for (flag, value) in [
+            ("--alpha", "0"),
+            ("--objects", "0"),
+            ("--partitions", "0"),
+            ("--dup-rate", "1.5"),
+        ] {
+            let mut c = SimConfig::default();
+            c.apply_flag(flag, &mut one(value)).unwrap();
+            let err = c.validate().unwrap_err();
+            assert!(err.0.contains(flag), "{flag}: {err}");
+        }
+    }
+
+    #[test]
+    fn help_lists_every_flag_with_the_base_default() {
+        let help = flags_help(&SimConfig::small_test(7));
+        for f in FLAGS {
+            assert!(help.contains(f.name), "{} missing from help", f.name);
+        }
+        assert!(help.contains("--objects <N>"));
+        assert!(help.contains("number of moving objects [default: 300]"));
+        assert!(help.contains("--seed <N>"));
+        assert!(help.contains("RNG seed [default: 7]"));
     }
 }

@@ -25,13 +25,11 @@ pub use alpha_model::{optimal_alpha, AlphaCost, WorkloadMoments};
 pub use approach::{run_approach, run_approach_with, Approach, RunReport};
 pub use central_run::{CentralKind, CentralSim, MessagingKind, MessagingModel};
 pub use cluster_run::ClusterSim;
-pub use config::{
-    ConfigError, EngineKind, RecoveryKind, SimConfig, SimConfigBuilder, TransportKind,
-};
+pub use config::{flags_help, ConfigError, EngineKind, RecoveryKind, SimConfig, TransportKind};
 pub use metrics::RunMetrics;
 pub use mobieyes_run::MobiEyesSim;
 pub use mobility::{Mobility, MobilityKind};
 pub use rng::{Normal, Rng, Zipf};
-pub use transport_run::{ClusterClient, HostedPartitions};
+pub use transport_run::{connect_partition, ClusterClient, HostedPartitions, PartitionProcess};
 pub use truth::GroundTruth;
 pub use workload::{ObjectSpec, QueryWorkloadSpec, Workload};

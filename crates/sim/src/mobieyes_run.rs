@@ -150,12 +150,6 @@ pub struct MobiEyesSim {
     /// When set, mobility is frozen: objects stop moving but the protocol
     /// keeps running. Used to measure recovery convergence.
     frozen: bool,
-    /// Rebalance cadence in ticks (0 = off); resolved once at build so
-    /// the environment is read exactly once per run.
-    rebalance_ticks: usize,
-    /// Resolved tick engine: the struct-of-arrays fast path or the seed
-    /// reference path (see [`crate::soa`] for the contract between them).
-    engine: EngineKind,
     /// The universe grid (cheap clone of the protocol config's) for the
     /// fast engine's flat-cell computations.
     grid: Grid,
@@ -165,9 +159,6 @@ pub struct MobiEyesSim {
     /// resolved from the configuration at build, overridable for tests
     /// via [`set_crash_plan`](Self::set_crash_plan).
     crash_plan: PartitionCrashPlan,
-    /// How a crashed partition's cells come back: failover only, or
-    /// failover plus supervised respawn.
-    recovery: RecoveryKind,
     /// Partitions awaiting respawn, with the tick at which to restart
     /// them (the failover fence runs first; the respawn fence follows).
     pending_respawn: Vec<(u32, usize)>,
@@ -184,9 +175,6 @@ pub struct MobiEyesSim {
     /// Root directory of the durable logs (`<root>/p<N>` per partition),
     /// kept for the single-tier crash-recovery drill.
     store_root: Option<std::path::PathBuf>,
-    /// Checkpoint cadence in ticks (0 = off); resolved once at build so
-    /// the environment is read exactly once per run.
-    store_checkpoint_ticks: usize,
 }
 
 /// Ticks between a partition's failover fence and its respawn fence:
@@ -222,7 +210,6 @@ impl MobiEyesSim {
 
     fn build(config: SimConfig, telemetry: Telemetry, remote: Option<Vec<FramedConn>>) -> Self {
         let workload = Workload::generate(&config);
-        let engine = config.resolved_engine();
         let grid = Grid::new(workload.universe, config.alpha);
         let grid_copy = grid.clone();
         // Lease durations are configured in ticks; heartbeats fire twice
@@ -239,8 +226,8 @@ impl MobiEyesSim {
         );
         let layout = BaseStationLayout::new(workload.universe, config.alen);
         let mut net = Net::new(layout.clone()).with_telemetry(telemetry.clone());
-        let partitions = config.resolved_partitions();
-        let store_root = config.resolved_store_dir();
+        let partitions = config.partitions;
+        let store_root = config.store_root().map(std::path::Path::to_path_buf);
         let mut single_store = None;
         let mut tier = match remote {
             // Remote partitions open, replay and journal their own logs
@@ -378,29 +365,22 @@ impl MobiEyesSim {
             rejoin_now: vec![None; n],
             skip_now: vec![false; n],
             frozen: false,
-            rebalance_ticks: 0,
-            engine,
             grid: grid_copy,
             soa: AgentSoa::new(n, shards),
             crash_plan: PartitionCrashPlan::none(),
-            recovery: RecoveryKind::Failover,
             pending_respawn: Vec::new(),
             crash_hook: None,
             respawn_hook: None,
             store: single_store,
             store_root,
-            store_checkpoint_ticks: 0,
         };
-        sim.store_checkpoint_ticks = sim.config.resolved_store_checkpoint_ticks();
-        sim.rebalance_ticks = sim.config.resolved_rebalance_ticks();
-        sim.recovery = sim.config.resolved_recovery();
-        let crash_tick = sim.config.resolved_partition_crash_ticks();
-        let crash_parts = sim.config.resolved_partitions() as u32;
+        let crash_tick = sim.config.partition_crash_ticks;
+        let crash_parts = sim.config.partitions as u32;
         if crash_tick > 0 && crash_parts >= 2 {
             sim.crash_plan = PartitionCrashPlan::seeded(
                 sim.config.seed,
                 crash_parts,
-                sim.config.resolved_partition_crash_kills(),
+                sim.config.partition_crash_kills,
                 // The plan fires relative to measured ticks; warm-up runs
                 // crash-free so every deployment installs identically.
                 (sim.config.warmup_ticks + crash_tick) as u64,
@@ -430,9 +410,9 @@ impl MobiEyesSim {
         &self.telemetry
     }
 
-    /// The resolved tick engine this deployment runs.
+    /// The tick engine this deployment runs.
     pub fn engine(&self) -> EngineKind {
-        self.engine
+        self.config.engine
     }
 
     /// Current simulated time in seconds.
@@ -538,7 +518,7 @@ impl MobiEyesSim {
     }
 
     /// Whether this deployment journals to a durable store
-    /// ([`SimConfig::store_dir`] / `MOBIEYES_STORE_DIR`).
+    /// ([`SimConfig::store_dir`]).
     pub fn has_store(&self) -> bool {
         match &self.tier {
             ServerTier::Single(_) => self.store.is_some(),
@@ -655,7 +635,7 @@ impl MobiEyesSim {
 
     /// Overrides the crash-recovery mode.
     pub fn set_recovery(&mut self, r: RecoveryKind) {
-        self.recovery = r;
+        self.config.recovery = r;
     }
 
     /// Installs the out-of-process kill callback: invoked with the victim
@@ -691,7 +671,7 @@ impl MobiEyesSim {
                 } else if let ServerTier::Cluster(c) = &mut self.tier {
                     c.kill_partition(p);
                 }
-                if self.recovery == RecoveryKind::Respawn {
+                if self.config.recovery == RecoveryKind::Respawn {
                     self.pending_respawn
                         .push((p, self.tick_index + RESPAWN_DELAY_TICKS));
                 }
@@ -827,7 +807,7 @@ impl MobiEyesSim {
         // or rejoining) and delivery without a stateful downlink fault
         // RNG; anything else runs the seed phases and invalidates the
         // mirror, which rebuilds lazily on the next fast step.
-        let fast = quiet && self.engine == EngineKind::Soa && self.net.fault().is_noop();
+        let fast = quiet && self.config.engine == EngineKind::Soa && self.net.fault().is_noop();
         if !fast {
             self.soa.valid = false;
         }
@@ -877,7 +857,8 @@ impl MobiEyesSim {
         // the tick boundary, after ingest, so the observation window the
         // planner cuts holds whole ticks — and never changes query
         // results, only the load split (DESIGN.md §10).
-        if self.rebalance_ticks > 0 && self.tick_index.is_multiple_of(self.rebalance_ticks) {
+        let rebalance_ticks = self.config.rebalance_ticks;
+        if rebalance_ticks > 0 && self.tick_index.is_multiple_of(rebalance_ticks) {
             if let ServerTier::Cluster(c) = &mut self.tier {
                 c.rebalance();
             }
@@ -892,9 +873,8 @@ impl MobiEyesSim {
         // Periodic durable-log checkpoint: snapshot + segment GC at the
         // tick boundary, bounding both replay work after a crash and
         // on-disk log size.
-        if self.store_checkpoint_ticks > 0
-            && self.tick_index.is_multiple_of(self.store_checkpoint_ticks)
-        {
+        let checkpoint_ticks = self.config.store_checkpoint_ticks;
+        if checkpoint_ticks > 0 && self.tick_index.is_multiple_of(checkpoint_ticks) {
             self.checkpoint_now();
         }
 

@@ -1,7 +1,8 @@
 //! Driving live multi-process deployments: the coordinator-side
-//! [`ClusterClient`] and an in-process host for partition services
-//! (tests and single-machine smoke runs use it; `mobieyes-serve`
-//! runs the same service loop behind a real process boundary).
+//! [`ClusterClient`], [`PartitionProcess`] for `mobieyes-serve partition`
+//! children, and an in-process host for partition services (tests and
+//! single-machine smoke runs use it; `mobieyes-serve` runs the same
+//! service loop behind a real process boundary).
 
 use crate::config::SimConfig;
 use crate::metrics::RunMetrics;
@@ -9,6 +10,9 @@ use crate::mobieyes_run::MobiEyesSim;
 use mobieyes_cluster::serve_partition;
 use mobieyes_net::{Endpoint, FramedConn, Listener, TransportError};
 use mobieyes_telemetry::Telemetry;
+use std::io::{BufRead, BufReader};
+use std::path::Path;
+use std::process::{Child, Command, ExitStatus, Stdio};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -25,19 +29,11 @@ impl ClusterClient {
     /// completes the hello exchange and checks the service at position `p`
     /// actually announces partition `p`.
     pub fn connect(endpoints: &[Endpoint], timeout: Duration) -> Result<Self, TransportError> {
-        let mut conns = Vec::with_capacity(endpoints.len());
-        for (p, ep) in endpoints.iter().enumerate() {
-            let stream = ep.connect_with_retry(timeout)?;
-            let mut conn = FramedConn::new(stream);
-            conn.send_hello(0)?;
-            let announced = conn.expect_hello()?;
-            if announced != p as u32 {
-                return Err(TransportError::Handshake(format!(
-                    "service at {ep} announced partition {announced}, expected {p}"
-                )));
-            }
-            conns.push(conn);
-        }
+        let conns = endpoints
+            .iter()
+            .enumerate()
+            .map(|(p, ep)| connect_partition(ep, p as u32, timeout))
+            .collect::<Result<_, _>>()?;
         Ok(ClusterClient { conns })
     }
 
@@ -62,6 +58,95 @@ impl ClusterClient {
         let digest = sim.result_digest();
         sim.shutdown();
         (metrics, digest)
+    }
+}
+
+/// Connects to the partition service at `ep`, retrying for up to
+/// `timeout` (a freshly spawned service may still be binding), completes
+/// the hello exchange and checks the service announces partition `p`.
+pub fn connect_partition(
+    ep: &Endpoint,
+    p: u32,
+    timeout: Duration,
+) -> Result<FramedConn, TransportError> {
+    let mut conn = FramedConn::new(ep.connect_with_retry(timeout)?);
+    conn.send_hello(0)?;
+    let announced = conn.expect_hello()?;
+    if announced != p {
+        return Err(TransportError::Handshake(format!(
+            "service at {ep} announced partition {announced}, expected {p}"
+        )));
+    }
+    Ok(conn)
+}
+
+/// One `mobieyes-serve partition` child process. Dropping it SIGKILLs
+/// and reaps the process and removes its Unix socket file, so no exit
+/// path of a driver leaves a service blocked in `accept` or a stale
+/// socket behind.
+pub struct PartitionProcess {
+    child: Child,
+    /// The bound endpoint, known once the service printed `READY`.
+    endpoint: Option<Endpoint>,
+}
+
+impl PartitionProcess {
+    /// Spawns `exe partition --partition <partition> --listen <listen>`
+    /// and waits for its `READY <endpoint>` line (`port 0` resolved).
+    pub fn spawn(exe: &Path, partition: u32, listen: &str) -> Result<Self, String> {
+        let child = Command::new(exe)
+            .args([
+                "partition",
+                "--partition",
+                &partition.to_string(),
+                "--listen",
+                listen,
+            ])
+            .stdout(Stdio::piped())
+            .spawn()
+            .map_err(|e| format!("spawning partition {partition}: {e}"))?;
+        let mut process = PartitionProcess {
+            child,
+            endpoint: None,
+        };
+        let stdout = process.child.stdout.take().expect("piped stdout");
+        let mut ready = String::new();
+        BufReader::new(stdout)
+            .read_line(&mut ready)
+            .map_err(|e| format!("reading READY from partition {partition}: {e}"))?;
+        let bound = ready
+            .trim()
+            .strip_prefix("READY ")
+            .ok_or_else(|| format!("partition {partition} printed {ready:?}, expected READY"))?;
+        process.endpoint = Some(Endpoint::parse(bound).map_err(|e| e.to_string())?);
+        Ok(process)
+    }
+
+    /// The endpoint the service listens on.
+    pub fn endpoint(&self) -> &Endpoint {
+        self.endpoint.as_ref().expect("set by spawn")
+    }
+
+    /// SIGKILLs the service and reaps it.
+    pub fn kill(mut self) -> std::io::Result<()> {
+        self.child.kill()?;
+        self.child.wait().map(drop)
+    }
+
+    /// Waits for the service to exit on its own (after `Shutdown`).
+    pub fn wait(mut self) -> std::io::Result<ExitStatus> {
+        self.child.wait()
+    }
+}
+
+impl Drop for PartitionProcess {
+    fn drop(&mut self) {
+        // Both are no-ops on a child already reaped by `kill`/`wait`.
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+        if let Some(Endpoint::Uds(path)) = &self.endpoint {
+            let _ = std::fs::remove_file(path);
+        }
     }
 }
 

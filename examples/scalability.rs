@@ -1,6 +1,6 @@
 //! Scalability comparison at paper scale: MobiEyes (eager and lazy) vs the
-//! naive and central-optimal reporting schemes, plus the threaded actor
-//! runtime on multiple cores — the headline claims of the paper in one
+//! naive and central-optimal reporting schemes, plus the parallel tick
+//! engine on multiple cores — the headline claims of the paper in one
 //! program.
 //!
 //! Run with: `cargo run --example scalability --release`
@@ -27,7 +27,8 @@ fn main() {
 
     let naive = MessagingModel::new(base.clone(), MessagingKind::Naive).run();
     let optimal = MessagingModel::new(base.clone(), MessagingKind::CentralOptimal).run();
-    let eager = MobiEyesSim::new(base.clone()).run();
+    // Sequential engine; the parallel run below must match it exactly.
+    let eager = MobiEyesSim::new(base.clone().with_threads(1)).run();
     let lazy = MobiEyesSim::new(base.clone().with_propagation(Propagation::Lazy)).run();
 
     println!(
@@ -51,21 +52,21 @@ fn main() {
         eager.avg_lqt_size, eager.avg_evals_per_object_tick
     );
 
-    // The same protocol on the threaded actor runtime.
+    // The same run on the parallel tick engine: agents sharded across
+    // worker threads, byte-identical to the sequential engine.
     let threads = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(4)
         .min(8);
-    println!(
-        "\nrunning the identical scenario on the threaded runtime ({threads} worker shards)..."
-    );
+    println!("\nrunning the identical scenario on {threads} tick-engine threads...");
     let start = std::time::Instant::now();
-    let out = ThreadedSim::new(base, threads).run();
+    let parallel = MobiEyesSim::new(base.with_threads(threads)).run();
     println!(
-        "threaded runtime: {} total msgs, avg LQT {:.2}, wall time {:.1}s",
-        out.total_msgs,
-        out.avg_lqt_size,
+        "parallel engine: {:.1} msgs/s, avg LQT {:.2}, wall time {:.1}s",
+        parallel.msgs_per_second,
+        parallel.avg_lqt_size,
         start.elapsed().as_secs_f64()
     );
-    println!("(the runtime_equivalence tests prove it is bit-identical to the lock-step run)");
+    assert_eq!(parallel.msgs_per_second, eager.msgs_per_second);
+    println!("(identical to the sequential run; tests/parallel_equivalence.rs checks it per tick)");
 }

@@ -30,9 +30,18 @@ MOBIEYES_THREADS=1 cargo test -q --workspace
 echo "==> cargo test -q (MOBIEYES_THREADS=4)"
 MOBIEYES_THREADS=4 cargo test -q --workspace
 
+# The smokes below run from a scratch working directory: the benches write
+# their BENCH_*.json into the current directory, and the tracked copies at
+# the repository root must never be overwritten or moved away by a gate run.
+root=$PWD
+smoke_dir=$(mktemp -d)
+trap 'rm -rf "$smoke_dir"' EXIT
+cd "$smoke_dir"
+run() { cargo run -q --release --manifest-path "$root/Cargo.toml" "$@"; }
+
 # JSON field assertions go through the assert-json helper instead of
 # fragile grep -o pipelines.
-assert_json() { cargo run -q --release -p mobieyes-bench --bin assert-json -- "$@"; }
+assert_json() { run -p mobieyes-bench --bin assert-json -- "$@"; }
 # The BENCH_*.json files embed host provenance (host_cores,
 # mobieyes_threads) that legitimately differs between the 1- and 4-thread
 # runs; everything else must be byte-identical.
@@ -46,12 +55,11 @@ echo "==> chaos smoke (seq/parallel equivalence + convergence)"
 # and every seed must converge back to exact ground truth (the bench caps
 # recovery at the documented contract bound, so a non-converging seed
 # shows up as recovery_ticks == contract_bound_ticks).
-chaos_out_1=$(mktemp) && chaos_out_4=$(mktemp)
-cluster_out_1=$(mktemp) && cluster_out_4=$(mktemp)
-trap 'rm -f "$chaos_out_1" "$chaos_out_4" "$cluster_out_1" "$cluster_out_4"' EXIT
-MOBIEYES_QUICK=1 MOBIEYES_THREADS=1 cargo run -q --release -p mobieyes-bench --bin chaos
+chaos_out_1=chaos_1.json && chaos_out_4=chaos_4.json
+cluster_out_1=cluster_1.json && cluster_out_4=cluster_4.json
+MOBIEYES_QUICK=1 MOBIEYES_THREADS=1 run -p mobieyes-bench --bin chaos
 mv BENCH_chaos.json "$chaos_out_1"
-MOBIEYES_QUICK=1 MOBIEYES_THREADS=4 cargo run -q --release -p mobieyes-bench --bin chaos
+MOBIEYES_QUICK=1 MOBIEYES_THREADS=4 run -p mobieyes-bench --bin chaos
 mv BENCH_chaos.json "$chaos_out_4"
 diff_benches "$chaos_out_1" "$chaos_out_4" \
   || { echo "chaos smoke: thread counts disagree"; exit 1; }
@@ -65,9 +73,9 @@ echo "==> cluster smoke (partitioned-tier equivalence)"
 # are byte-identical to the single server. Running it at 1 and 4 worker
 # threads and diffing the JSON additionally proves the partitioned tier is
 # thread-count independent.
-MOBIEYES_QUICK=1 MOBIEYES_THREADS=1 cargo run -q --release -p mobieyes-bench --bin cluster
+MOBIEYES_QUICK=1 MOBIEYES_THREADS=1 run -p mobieyes-bench --bin cluster
 mv BENCH_cluster.json "$cluster_out_1"
-MOBIEYES_QUICK=1 MOBIEYES_THREADS=4 cargo run -q --release -p mobieyes-bench --bin cluster
+MOBIEYES_QUICK=1 MOBIEYES_THREADS=4 run -p mobieyes-bench --bin cluster
 mv BENCH_cluster.json "$cluster_out_4"
 diff_benches "$cluster_out_1" "$cluster_out_4" \
   || { echo "cluster smoke: thread counts disagree"; exit 1; }
@@ -85,7 +93,7 @@ skew_before=$(assert_json "$cluster_out_1" get skew_before)
 skew_after=$(assert_json "$cluster_out_1" get skew_after)
 awk -v a="$skew_after" -v b="$skew_before" 'BEGIN { exit !(a < b) }' \
   || { echo "rebalance smoke: skew did not improve ($skew_before -> $skew_after)"; exit 1; }
-cargo run -q --release --bin mobieyes -- --partitions 4 --rebalance-ticks 3 \
+run --bin mobieyes -- --partitions 4 --rebalance-ticks 3 \
   --objects 400 --queries 40 --nmo 40 --ticks 8 --warmup 2 --area 10000 >/dev/null
 
 echo "==> remote rebalance smoke (rebalance fence over real sockets)"
@@ -95,8 +103,8 @@ echo "==> remote rebalance smoke (rebalance fence over real sockets)"
 # bus. `drive` exits non-zero unless the final digest matches the lock-step
 # reference; on top of that at least one load-driven generation must have
 # installed over the sockets and no fence may have aborted.
-rebal_drive=$(mktemp)
-cargo run -q --release --bin mobieyes-serve -- drive --transport uds \
+rebal_drive=rebal_drive.json
+run --bin mobieyes-serve -- drive --transport uds \
   --partitions 4 --ticks 30 --seed 7 --rebalance-ticks 5 \
   --json "$rebal_drive" >/dev/null
 assert_json "$rebal_drive" require digests_match true \
@@ -106,7 +114,6 @@ awk -v g="$rebal_gen" 'BEGIN { exit !(g >= 1) }' \
   || { echo "remote rebalance smoke: no partition-map generation installed"; exit 1; }
 assert_json "$rebal_drive" require rebalance_aborts 0 \
   || { echo "remote rebalance smoke: a rebalance fence aborted"; exit 1; }
-rm -f "$rebal_drive"
 # The cluster bench's rebalance_remote block measures the same fence over
 # sockets; every skew_after in the file (in-process and remote) must beat
 # every skew_before — the remote fence flattens load exactly like the
@@ -124,54 +131,51 @@ echo "==> scale smoke (struct-of-arrays hot path at 20k objects)"
 # byte by tests/engine_equivalence.rs; this stage guards the wall clock).
 # The budget is ~10x the measured steady state on a slow host — it only
 # catches order-of-magnitude regressions, never timing noise.
-scale_out=$(mktemp)
-MOBIEYES_QUICK=1 cargo run -q --release -p mobieyes-bench --bin scale >/dev/null
+scale_out=scale.json
+MOBIEYES_QUICK=1 run -p mobieyes-bench --bin scale >/dev/null
 mv BENCH_scale.json "$scale_out"
 assert_json "$scale_out" require bench scale-sweep
 scale_spt=$(assert_json "$scale_out" max seconds_per_tick)
 awk -v spt="$scale_spt" 'BEGIN { exit !(spt < 0.25) }' \
   || { echo "scale smoke: ${scale_spt}s/tick blows the 0.25s budget"; exit 1; }
-rm -f "$scale_out"
 
 echo "==> recovery smoke (partition crash failover + supervised respawn)"
 # The crash-recovery bench kills seeded partitions mid-run and measures
 # frozen-mobility ticks back to exact ground truth; like the chaos bench
 # it is deterministic across thread counts, and a non-converging scenario
 # surfaces as recovery_ticks == contract_bound_ticks.
-recovery_out_1=$(mktemp) && recovery_out_4=$(mktemp)
-MOBIEYES_QUICK=1 MOBIEYES_THREADS=1 cargo run -q --release -p mobieyes-bench --bin recovery
+recovery_out_1=recovery_1.json && recovery_out_4=recovery_4.json
+MOBIEYES_QUICK=1 MOBIEYES_THREADS=1 run -p mobieyes-bench --bin recovery
 mv BENCH_recovery.json "$recovery_out_1"
-MOBIEYES_QUICK=1 MOBIEYES_THREADS=4 cargo run -q --release -p mobieyes-bench --bin recovery
+MOBIEYES_QUICK=1 MOBIEYES_THREADS=4 run -p mobieyes-bench --bin recovery
 mv BENCH_recovery.json "$recovery_out_4"
 diff_benches "$recovery_out_1" "$recovery_out_4" \
   || { echo "recovery smoke: thread counts disagree"; exit 1; }
 rec_bound=$(assert_json "$recovery_out_1" get contract_bound_ticks)
 assert_json "$recovery_out_1" forbid recovery_ticks "$rec_bound" \
   || { echo "recovery smoke: a scenario failed to converge within $rec_bound ticks"; exit 1; }
-rm -f "$recovery_out_1" "$recovery_out_4"
 # Supervised kill -9 across a real process boundary: the coordinator
 # SIGKILLs one of four UDS partition processes mid-run, fences it, and —
 # in respawn mode — restarts the child and re-adopts its cells. `drive`
 # exits non-zero unless the final digest matches the in-process lock-step
 # reference playing the identical crash plan.
-recovery_drive=$(mktemp)
+recovery_drive=recovery_drive.json
 for rec in failover respawn; do
-  cargo run -q --release --bin mobieyes-serve -- drive --transport uds \
-    --partitions 4 --ticks 40 --seed 7 --crash-tick 8 --kill 1 \
+  run --bin mobieyes-serve -- drive --transport uds \
+    --partitions 4 --ticks 40 --seed 7 --partition-crash-ticks 8 --partition-crash-kills 1 \
     --recovery "$rec" --json "$recovery_drive" >/dev/null
   assert_json "$recovery_drive" require digests_match true \
     || { echo "recovery smoke ($rec): live digest diverged from lock-step"; exit 1; }
   assert_json "$recovery_drive" require crash_detections 1 \
     || { echo "recovery smoke ($rec): the kill was never detected"; exit 1; }
 done
-rm -f "$recovery_drive"
 
 echo "==> persistence smoke (durable log replay + store-backed failover)"
 # The persistence bench rebuilds a server purely from its journal and
 # demands a byte-identical state digest; the replay-rate floor guards the
 # cold-start path against order-of-magnitude regressions only.
-persist_out=$(mktemp)
-MOBIEYES_QUICK=1 cargo run -q --release -p mobieyes-bench --bin persist >/dev/null
+persist_out=persist.json
+MOBIEYES_QUICK=1 run -p mobieyes-bench --bin persist >/dev/null
 mv BENCH_persist.json "$persist_out"
 assert_json "$persist_out" require bench persistence
 assert_json "$persist_out" forbid digest_match false \
@@ -179,34 +183,31 @@ assert_json "$persist_out" forbid digest_match false \
 replay_rate=$(assert_json "$persist_out" min replay_records_per_s)
 awk -v r="$replay_rate" 'BEGIN { exit !(r >= 100000) }' \
   || { echo "persist smoke: replay rate ${replay_rate} rec/s under the 100k floor"; exit 1; }
-rm -f "$persist_out"
 # Store-backed kill -9 across a real process boundary: the dead
 # partition's queries must come back via log replay (the fast path, no
 # agent round trip) and the final digest must still match lock-step.
-persist_drive=$(mktemp) && persist_store=$(mktemp -d)
-cargo run -q --release --bin mobieyes-serve -- drive --transport uds \
-  --partitions 4 --ticks 40 --seed 7 --crash-tick 8 --kill 1 \
+persist_drive=persist_drive.json && persist_store=persist_store
+run --bin mobieyes-serve -- drive --transport uds \
+  --partitions 4 --ticks 40 --seed 7 --partition-crash-ticks 8 --partition-crash-kills 1 \
   --recovery failover --store-dir "$persist_store" --json "$persist_drive" >/dev/null
 assert_json "$persist_drive" require digests_match true \
   || { echo "persist smoke: store-backed drive digest diverged from lock-step"; exit 1; }
 replayed=$(assert_json "$persist_drive" get queries_replayed)
 awk -v n="$replayed" 'BEGIN { exit !(n >= 1) }' \
   || { echo "persist smoke: no query was recovered via log replay"; exit 1; }
-rm -rf "$persist_drive" "$persist_store"
 # Historical trajectories through the CLI: journal a short run, then
 # query an object's motion history back out of the cold log.
-traj_store=$(mktemp -d)
-cargo run -q --release --bin mobieyes -- --objects 300 --queries 30 --nmo 30 \
+traj_store=traj_store
+run --bin mobieyes -- --objects 300 --queries 30 --nmo 30 \
   --ticks 10 --warmup 2 --area 10000 --store-dir "$traj_store" >/dev/null
 traj_samples=0
 for oid in 0 1 2 3 4 5 6 7 8 9; do
-  n=$(cargo run -q --release --bin mobieyes -- trajectory --store-dir "$traj_store" \
+  n=$(run --bin mobieyes -- trajectory --store-dir "$traj_store" \
     --oid "$oid" --t0 0 --t1 1e18 2>/dev/null | tail -n +2 | wc -l)
   traj_samples=$((traj_samples + n))
 done
 [ "$traj_samples" -ge 1 ] \
   || { echo "persist smoke: trajectory queries returned no motion samples"; exit 1; }
-rm -rf "$traj_store"
 
 echo "==> socket smoke (multi-process partitions over UDS)"
 # Two partition services in separate OS processes behind Unix-domain
@@ -215,13 +216,12 @@ echo "==> socket smoke (multi-process partitions over UDS)"
 # `drive` already exits non-zero on divergence; the JSON assertion keeps
 # the contract visible in this gate. The in-process socket bus rides the
 # same code path through the CLI flag below.
-socket_out=$(mktemp)
-cargo run -q --release --bin mobieyes-serve -- drive --transport uds \
+socket_out=socket.json
+run --bin mobieyes-serve -- drive --transport uds \
   --partitions 2 --ticks 50 --seed 7 --json "$socket_out" >/dev/null
 assert_json "$socket_out" require digests_match true \
   || { echo "socket smoke: live digest diverged from lock-step"; exit 1; }
-rm -f "$socket_out"
-cargo run -q --release --bin mobieyes -- --partitions 2 --transport uds \
+run --bin mobieyes -- --partitions 2 --transport uds \
   --objects 400 --queries 40 --nmo 40 --ticks 8 --warmup 2 --area 10000 >/dev/null
 
 echo "All checks passed."

@@ -11,23 +11,27 @@
 //! the standard simulation workload against them from this process, and
 //! cross-checks the final result digest against an in-process lock-step
 //! run of the identical configuration — the self-contained smoke test
-//! `scripts/check.sh` calls. With `--crash-tick` it additionally plays
-//! supervisor: at the scheduled tick it `SIGKILL`s the victim partition
-//! processes, lets the coordinator detect the deaths and run the
-//! failover fence, and — under `--recovery respawn` — restarts each
-//! victim on a fresh endpoint and hands the re-connected socket back to
-//! the coordinator for the re-adoption fence (DESIGN.md §13). The
+//! `scripts/check.sh` calls. With a partition crash tick configured it
+//! additionally plays supervisor: at the scheduled tick it `SIGKILL`s the
+//! victim partition processes, lets the coordinator detect the deaths and
+//! run the failover fence, and — under respawn recovery — restarts
+//! each victim on a fresh endpoint and hands the re-connected socket back
+//! to the coordinator for the re-adoption fence (DESIGN.md §13). The
 //! lock-step reference runs the *same* crash plan in-process, so the
-//! final digests must still match exactly.
+//! final digests must still match exactly. Every partition process is
+//! killed and reaped, and its socket removed, on every exit path.
 
 use mobieyes::cluster::serve_partition;
 use mobieyes::net::{Endpoint, Listener};
 use mobieyes::prelude::*;
+use mobieyes::sim::{connect_partition, flags_help, PartitionProcess};
 use std::cell::RefCell;
-use std::io::{BufRead, BufReader, Write};
-use std::process::{Child, Command, Stdio};
+use std::io::Write;
 use std::rc::Rc;
 use std::time::Duration;
+
+/// How long the coordinator retries a freshly spawned service's socket.
+const CONNECT_TIMEOUT: Duration = Duration::from_secs(10);
 
 const HELP: &str = "\
 mobieyes-serve: run MobiEyes partitions as separate OS processes
@@ -45,34 +49,35 @@ PARTITION:
     serves exactly one coordinator connection, exits after Shutdown.
     Exits 0 on clean Shutdown, 2 when the transport dies underneath it.
 
+DRIVE:
+    Spawns one partition process per partition, runs the workload
+    against them and checks the final result digest against the same
+    configuration on the in-process lock-step bus. The transport must be
+    tcp or uds. With a store directory P, the live partitions journal
+    under P/live and the lock-step reference under P/reference (both
+    wiped at start). A crash tick must fall within the measured ticks.
+
 DRIVE OPTIONS:
-    --transport <tcp|uds>   socket family for the partition processes [uds]
-    --partitions <N>        number of partition processes [2]
-    --mode <eqp|lqp>        propagation mode [eqp]
-    --objects <N>           moving objects [small-test default]
-    --queries <N>           moving queries [small-test default]
-    --ticks <N>             measured ticks [50]
-    --warmup <N>            warm-up ticks [small-test default]
-    --seed <N>              workload seed [7]
-    --json <path>           write the outcome as JSON
-    --crash-tick <N>        SIGKILL seeded victim partitions at measured
-                            tick N (0 = off) [0]
-    --kill <N>              partitions to kill at the crash tick [1]
-    --recovery <mode>       failover | respawn: keep the victims' cells at
-                            the survivors, or restart each victim process
-                            and hand its cells back [failover]
-    --store-dir <path>      journal every partition to durable logs under
-                            <path>/live (the lock-step reference journals
-                            under <path>/reference — never shared). Both
-                            subtrees are wiped at start. A SIGKILLed
-                            partition's queries are then recovered by log
-                            replay instead of the agent round trip [off]
-    --checkpoint-ticks <N>  checkpoint the durable logs every N ticks
-                            (snapshot + segment GC) [0 = off]
-    --rebalance-ticks <N>   rebalance the partition map from observed load
-                            every N measured ticks; runs the remote fence
-                            over the partition sockets (0 = off) [0]
+    --mode <eqp|lqp>              propagation mode [default: eqp]
+    --json <path>                 write the outcome as JSON
+    -h, --help                    print this help
+
+SIMULATION OPTIONS:
 ";
+
+/// The configuration `drive` starts from before its flags apply.
+fn drive_base() -> SimConfig {
+    SimConfig {
+        ticks: 50,
+        partitions: 2,
+        transport: Some(TransportKind::Uds),
+        ..SimConfig::small_test(7)
+    }
+}
+
+fn help() -> String {
+    format!("{HELP}{}", flags_help(&drive_base()))
+}
 
 fn parse<T: std::str::FromStr>(s: &str) -> Result<T, String> {
     s.parse().map_err(|_| format!("unparseable value: {s}"))
@@ -84,10 +89,12 @@ fn main() {
         Some("partition") => run_partition(args),
         Some("drive") => run_drive(args),
         Some("-h") | Some("--help") | None => {
-            print!("{HELP}");
+            print!("{}", help());
             Ok(())
         }
-        Some(other) => Err(format!("unknown subcommand {other:?}\n\n{HELP}")),
+        Some(other) => Err(format!(
+            "unknown subcommand {other:?} (see mobieyes-serve --help)"
+        )),
     };
     if let Err(e) = code {
         eprintln!("mobieyes-serve: {e}");
@@ -125,17 +132,15 @@ fn run_partition(mut args: impl Iterator<Item = String>) -> Result<(), String> {
     Ok(())
 }
 
-/// Spawns one partition service process and waits for its `READY` line.
-/// `incarnation` keeps respawned Unix-socket paths collision-free: the
-/// SIGKILLed predecessor never unlinked its socket.
+/// Spawns partition `p`'s service process. `incarnation` keeps
+/// respawned Unix-socket paths apart from their SIGKILLed predecessors'.
 fn spawn_service(
     exe: &std::path::Path,
     transport: TransportKind,
     p: usize,
     incarnation: u64,
-) -> Result<(Child, Endpoint), String> {
+) -> Result<PartitionProcess, String> {
     let listen = match transport {
-        TransportKind::Tcp => "tcp:127.0.0.1:0".to_string(),
         TransportKind::Uds => format!(
             "uds:{}",
             std::env::temp_dir()
@@ -145,143 +150,52 @@ fn spawn_service(
                 ))
                 .display()
         ),
-        TransportKind::Lockstep => unreachable!("rejected at parse"),
+        _ => "tcp:127.0.0.1:0".to_string(),
     };
-    let mut child = Command::new(exe)
-        .args([
-            "partition",
-            "--partition",
-            &p.to_string(),
-            "--listen",
-            &listen,
-        ])
-        .stdout(Stdio::piped())
-        .spawn()
-        .map_err(|e| format!("spawning partition {p}: {e}"))?;
-    let stdout = child.stdout.take().expect("piped stdout");
-    let mut ready = String::new();
-    BufReader::new(stdout)
-        .read_line(&mut ready)
-        .map_err(|e| format!("reading READY from partition {p}: {e}"))?;
-    let bound = ready
-        .trim()
-        .strip_prefix("READY ")
-        .ok_or_else(|| format!("partition {p} printed {ready:?}, expected READY"))?;
-    let endpoint = Endpoint::parse(bound).map_err(|e| e.to_string())?;
-    Ok((child, endpoint))
+    PartitionProcess::spawn(exe, p as u32, &listen)
 }
 
 fn run_drive(mut args: impl Iterator<Item = String>) -> Result<(), String> {
-    let mut transport = TransportKind::Uds;
-    let mut partitions: usize = 2;
-    let mut mode = Propagation::Eager;
-    let mut ticks: usize = 50;
-    let mut seed: u64 = 7;
-    let mut objects: Option<usize> = None;
-    let mut queries: Option<usize> = None;
-    let mut warmup: Option<usize> = None;
+    let mut config = drive_base();
     let mut json_out: Option<String> = None;
-    let mut crash_tick: usize = 0;
-    let mut kills: usize = 1;
-    let mut recovery = RecoveryKind::Failover;
-    let mut store_dir: Option<String> = None;
-    let mut checkpoint_ticks: usize = 0;
-    let mut rebalance_ticks: usize = 0;
     while let Some(arg) = args.next() {
-        let mut value = |name: &str| {
-            args.next()
-                .ok_or_else(|| format!("missing value for {name}"))
-        };
         match arg.as_str() {
-            "--transport" => {
-                transport =
-                    TransportKind::parse(&value("--transport")?).map_err(|e| e.to_string())?;
-                if transport == TransportKind::Lockstep {
-                    return Err("drive needs a socket transport: tcp or uds".into());
-                }
-            }
-            "--partitions" => partitions = parse(&value("--partitions")?)?,
             "--mode" => {
-                mode = match value("--mode")?.as_str() {
+                let mode = args.next().ok_or("missing value for --mode")?;
+                config.propagation = match mode.as_str() {
                     "eqp" => Propagation::Eager,
                     "lqp" => Propagation::Lazy,
                     other => return Err(format!("unknown mode {other:?}")),
                 }
             }
-            "--objects" => objects = Some(parse(&value("--objects")?)?),
-            "--queries" => queries = Some(parse(&value("--queries")?)?),
-            "--ticks" => ticks = parse(&value("--ticks")?)?,
-            "--warmup" => warmup = Some(parse(&value("--warmup")?)?),
-            "--seed" => seed = parse(&value("--seed")?)?,
-            "--json" => json_out = Some(value("--json")?),
-            "--crash-tick" => crash_tick = parse(&value("--crash-tick")?)?,
-            "--kill" => kills = parse(&value("--kill")?)?,
-            "--recovery" => {
-                recovery = RecoveryKind::parse(&value("--recovery")?).map_err(|e| e.to_string())?
+            "--json" => json_out = Some(args.next().ok_or("missing value for --json")?),
+            "-h" | "--help" => {
+                print!("{}", help());
+                return Ok(());
             }
-            "--store-dir" => store_dir = Some(value("--store-dir")?),
-            "--checkpoint-ticks" => checkpoint_ticks = parse(&value("--checkpoint-ticks")?)?,
-            "--rebalance-ticks" => rebalance_ticks = parse(&value("--rebalance-ticks")?)?,
-            other => return Err(format!("unknown drive flag {other:?}")),
+            flag => config
+                .apply_flag(flag, &mut args)
+                .map_err(|e| e.to_string())?,
         }
     }
-    if partitions == 0 {
-        return Err("--partitions must be at least 1".into());
+    let mut config = config.validate().map_err(|e| e.to_string())?;
+    let transport = config.resolved_transport();
+    if transport == TransportKind::Lockstep {
+        return Err("drive needs a socket transport: tcp or uds".into());
     }
-    if crash_tick > 0 {
-        if partitions < 2 {
-            return Err("--crash-tick needs at least 2 partitions".into());
-        }
-        if kills == 0 || kills >= partitions {
-            return Err(format!(
-                "--kill must be between 1 and {} for {partitions} partitions",
-                partitions - 1
-            ));
-        }
-        if crash_tick >= ticks {
-            return Err(format!(
-                "--crash-tick {crash_tick} never fires within --ticks {ticks}"
-            ));
-        }
+    let (partitions, crash_tick) = (config.partitions, config.partition_crash_ticks);
+    if crash_tick >= config.ticks {
+        return Err(format!(
+            "crash tick {crash_tick} never fires within {} measured ticks",
+            config.ticks
+        ));
     }
 
-    let mut config = SimConfig::small_test(seed)
-        .with_propagation(mode)
-        .with_partitions(partitions);
-    {
-        let mut b = SimConfigBuilder::from_config(config).ticks(ticks);
-        if let Some(n) = objects {
-            b = b.objects(n);
-        }
-        if let Some(n) = queries {
-            b = b.queries(n);
-        }
-        if let Some(n) = warmup {
-            b = b.warmup_ticks(n);
-        }
-        if crash_tick > 0 {
-            b = b
-                .partition_crash_ticks(crash_tick)
-                .partition_crash_kills(kills)
-                .recovery(recovery);
-        }
-        if checkpoint_ticks > 0 {
-            b = b.store_checkpoint_ticks(checkpoint_ticks);
-        }
-        if rebalance_ticks > 0 {
-            b = b.rebalance_ticks(rebalance_ticks);
-        }
-        config = b.build().map_err(|e| e.to_string())?;
-    }
-
-    // Resolve persistence exactly once, here: the live deployment and the
-    // lock-step reference run the same configuration in the same process,
-    // so they must never share (or inherit via MOBIEYES_STORE_DIR) a log
-    // directory — the reference would replay the live run's journal. An
-    // empty store path pins persistence off for both when no root is set.
-    let store_root = store_dir
-        .map(std::path::PathBuf::from)
-        .or_else(|| config.resolved_store_dir());
+    // The live deployment and the lock-step reference run the same
+    // configuration in the same process, so they journal to separate
+    // subtrees of the store root — the reference would otherwise replay
+    // the live run's journal. Without a root both run unjournaled.
+    let store_root = config.store_root().map(std::path::Path::to_path_buf);
     let (live_store, reference_store) = match &store_root {
         Some(root) => {
             let (live, reference) = (root.join("live"), root.join("reference"));
@@ -299,32 +213,31 @@ fn run_drive(mut args: impl Iterator<Item = String>) -> Result<(), String> {
     config = config.with_store_dir(live_store);
 
     // Spawn one partition process per shard and collect their endpoints.
-    // The supervisor hooks below take and refill slots, so the children
-    // live behind a shared, optional-per-slot vector.
+    // The supervisor hooks below take and refill slots, so the services
+    // live behind a shared, optional-per-slot vector; whatever is still
+    // in it when the vector drops is killed and reaped.
     let exe = std::env::current_exe().map_err(|e| e.to_string())?;
-    let children: Rc<RefCell<Vec<Option<Child>>>> = Rc::new(RefCell::new(Vec::new()));
+    let children: Rc<RefCell<Vec<Option<PartitionProcess>>>> = Rc::new(RefCell::new(Vec::new()));
     let mut endpoints: Vec<Endpoint> = Vec::with_capacity(partitions);
     for p in 0..partitions {
-        let (child, endpoint) = spawn_service(&exe, transport, p, 0)?;
-        endpoints.push(endpoint);
-        children.borrow_mut().push(Some(child));
+        let service = spawn_service(&exe, transport, p, 0)?;
+        endpoints.push(service.endpoint().clone());
+        children.borrow_mut().push(Some(service));
     }
 
     // Run the workload against the live processes...
-    let client =
-        ClusterClient::connect(&endpoints, Duration::from_secs(10)).map_err(|e| e.to_string())?;
+    let client = ClusterClient::connect(&endpoints, CONNECT_TIMEOUT).map_err(|e| e.to_string())?;
     let mut sim = client.into_sim(config.clone(), Telemetry::new());
     if crash_tick > 0 {
         // Kill hook: SIGKILL the victim and reap it, so its sockets are
         // provably closed before the coordinator's liveness probe runs.
         let kill_slots = Rc::clone(&children);
         sim.set_crash_hook(move |p| {
-            if let Some(mut child) = kill_slots.borrow_mut()[p as usize].take() {
-                let _ = child.kill();
-                let _ = child.wait();
+            if let Some(service) = kill_slots.borrow_mut()[p as usize].take() {
+                let _ = service.kill();
             }
         });
-        if recovery == RecoveryKind::Respawn {
+        if config.recovery == RecoveryKind::Respawn {
             // Respawn hook: restart the victim on a fresh endpoint,
             // redo the hello exchange, and hand the connection back for
             // the re-adoption fence. `None` retries at the next tick.
@@ -334,30 +247,16 @@ fn run_drive(mut args: impl Iterator<Item = String>) -> Result<(), String> {
             sim.set_respawn_hook(move |p| {
                 *incarnation.borrow_mut() += 1;
                 let seq = *incarnation.borrow();
-                let (child, endpoint) =
-                    match spawn_service(&respawn_exe, transport, p as usize, seq) {
-                        Ok(ok) => ok,
-                        Err(e) => {
-                            eprintln!("mobieyes-serve: respawning partition {p}: {e}");
-                            return None;
-                        }
-                    };
-                let conn = endpoint
-                    .connect_with_retry(Duration::from_secs(10))
-                    .map(FramedConn::new)
-                    .and_then(|mut conn| {
-                        conn.send_hello(0)?;
-                        let announced = conn.expect_hello()?;
-                        if announced != p {
-                            return Err(TransportError::Handshake(format!(
-                                "respawned service announced partition {announced}, expected {p}"
-                            )));
-                        }
-                        Ok(conn)
-                    });
-                match conn {
+                let service = match spawn_service(&respawn_exe, transport, p as usize, seq) {
+                    Ok(service) => service,
+                    Err(e) => {
+                        eprintln!("mobieyes-serve: respawning partition {p}: {e}");
+                        return None;
+                    }
+                };
+                match connect_partition(service.endpoint(), p, CONNECT_TIMEOUT) {
                     Ok(conn) => {
-                        respawn_slots.borrow_mut()[p as usize] = Some(child);
+                        respawn_slots.borrow_mut()[p as usize] = Some(service);
                         Some(conn)
                     }
                     Err(e) => {
@@ -381,8 +280,8 @@ fn run_drive(mut args: impl Iterator<Item = String>) -> Result<(), String> {
     // exit cleanly; failover victims were reaped by the kill hook and
     // their slots hold `None`.
     for (p, slot) in children.borrow_mut().iter_mut().enumerate() {
-        if let Some(mut child) = slot.take() {
-            let status = child
+        if let Some(service) = slot.take() {
+            let status = service
                 .wait()
                 .map_err(|e| format!("waiting for partition {p}: {e}"))?;
             if !status.success() {
@@ -395,6 +294,7 @@ fn run_drive(mut args: impl Iterator<Item = String>) -> Result<(), String> {
     // same seed, same crash plan, same recovery mode, so the final
     // digests must agree byte-for-byte even across a mid-run crash.
     let reference_config = config
+        .clone()
         .with_transport(TransportKind::Lockstep)
         .with_store_dir(reference_store);
     let mut reference = MobiEyesSim::new(reference_config);
@@ -437,21 +337,25 @@ fn run_drive(mut args: impl Iterator<Item = String>) -> Result<(), String> {
         ),
         transport,
         partitions,
-        if mode == Propagation::Lazy {
+        if config.propagation == Propagation::Lazy {
             "lqp"
         } else {
             "eqp"
         },
-        seed,
-        ticks,
+        config.seed,
+        config.ticks,
         crash_tick,
-        if crash_tick > 0 { kills } else { 0 },
-        recovery,
+        if crash_tick > 0 {
+            config.partition_crash_kills
+        } else {
+            0
+        },
+        config.recovery,
         crash_detections,
         fences,
         store_root.is_some(),
         queries_replayed,
-        rebalance_ticks,
+        config.rebalance_ticks,
         map_generation,
         rebalance_installs,
         rebalance_skips,

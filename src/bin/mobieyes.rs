@@ -13,8 +13,9 @@
 //! ```
 
 use mobieyes::prelude::*;
+use mobieyes::sim::flags_help;
 
-const HELP: &str = "\
+const USAGE: &str = "\
 mobieyes — distributed moving-query simulation driver
 
 USAGE:
@@ -28,70 +29,21 @@ within simulated seconds [t0, t1], and prints them in time order. The
 logs are read cold — no simulation runs and nothing is modified.
 
 OPTIONS:
-    --mode <M>         mobieyes-eqp | mobieyes-lqp | naive | central-optimal |
-                       object-index | query-index   [default: mobieyes-eqp]
-                       (eqp / lqp are accepted as short aliases)
-    --objects <N>      number of moving objects          [default: 10000]
-    --queries <N>      number of moving queries          [default: 1000]
-    --nmo <N>          velocity changes per time step    [default: 1000]
-    --alpha <MILES>    grid cell side length             [default: 5]
-    --alen <MILES>     base station side length          [default: 10]
-    --area <SQMI>      universe area                     [default: 100000]
-    --ticks <N>        measured time steps               [default: 40]
-    --warmup <N>       warm-up time steps                [default: 5]
-    --delta <MILES>    dead-reckoning threshold          [default: 0.2]
-    --radius-factor <F> query radius multiplier          [default: 1]
-    --focal-pool <N>   draw focal objects from first N objects
-    --grouping         enable query grouping
-    --safe-period      enable safe-period optimization
-    --threads <N>      tick-engine worker threads; 0 = auto from
-                       MOBIEYES_THREADS or the host CPU count [default: 0]
-    --partitions <N>   grid-sharded server partitions; 0 = auto from
-                       MOBIEYES_PARTITIONS, else 1 (single server);
-                       results are byte-identical at every count [default: 0]
-    --transport <T>    cluster bus backend: lockstep | tcp | uds; unset =
-                       auto from MOBIEYES_TRANSPORT, else lockstep. Socket
-                       backends pump the same envelopes through a real
-                       kernel socket pair        [default: lockstep]
-    --engine <E>       tick engine: soa | seed; unset = auto from
-                       MOBIEYES_ENGINE, else soa. The struct-of-arrays
-                       engine skips provably-inert agents; results are
-                       byte-identical either way         [default: soa]
-    --rebalance-ticks <N> rebalance the partition map from observed load
-                       every N ticks; 0 = auto from
-                       MOBIEYES_REBALANCE_TICKS, else off. Never changes
-                       results, only the load split        [default: 0]
-    --partition-crash-ticks <N> kill seeded victim partitions at measured
-                       tick N and recover (DESIGN.md §13); 0 = auto from
-                       MOBIEYES_PARTITION_CRASH_TICKS, else off [default: 0]
-    --partition-crash-kills <N> partitions to kill at the crash tick;
-                       0 = auto from MOBIEYES_PARTITION_CRASH_KILLS,
-                       else 1                              [default: 0]
-    --recovery <R>     crash recovery mode: failover (survivors keep the
-                       dead cells) | respawn (victims restart and re-adopt
-                       them); unset = auto from MOBIEYES_RECOVERY, else
-                       failover
-    --store-dir <P>    journal every state-changing server input to an
-                       append-only log under P (one `p<N>` directory per
-                       partition); unset = auto from MOBIEYES_STORE_DIR,
-                       else off. A restarted server pointed at the same
-                       directory replays to byte-identical state
-    --checkpoint-ticks <N> checkpoint the durable logs every N ticks
-                       (snapshot + segment GC, bounding log size); 0 =
-                       auto from MOBIEYES_STORE_CHECKPOINT_TICKS, else
-                       off                                  [default: 0]
-    --seed <N>         RNG seed
-    --uplink-drop <P>  uplink message drop probability (0..=1)   [default: 0]
-    --downlink-drop <P> downlink message drop probability (0..=1) [default: 0]
-    --dup-rate <P>     message duplication probability (0..=1)   [default: 0]
-    --churn-rate <P>   fraction of objects that disconnect (0..=1) [default: 0]
-    --lease-ticks <N>  focal-object lease duration in ticks; 0 disables
-                       the fault-tolerance layer             [default: 0]
-    --metrics-out <P>  write the telemetry snapshot (phase timings,
-                       message counters, query lifecycle events) to P;
-                       .csv extension selects CSV, anything else JSON
-    -h, --help         print this help
+    --mode <M>                    mobieyes-eqp | mobieyes-lqp | naive |
+                                  central-optimal | object-index | query-index
+                                  (eqp / lqp are short aliases)
+                                  [default: mobieyes-eqp]
+    --metrics-out <P>             write the telemetry snapshot (phase timings,
+                                  message counters, query lifecycle events) to
+                                  P; .csv selects CSV, anything else JSON
+    -h, --help                    print this help
+
+SIMULATION OPTIONS:
 ";
+
+fn help() -> String {
+    format!("{USAGE}{}", flags_help(&SimConfig::default()))
+}
 
 struct Cli {
     approach: Approach,
@@ -100,7 +52,6 @@ struct Cli {
 }
 
 fn parse_approach(name: &str) -> Result<Approach, String> {
-    // Back-compat aliases from the pre-`Approach` CLI.
     match name {
         "eqp" => Ok(Approach::MobiEyesEqp),
         "lqp" => Ok(Approach::MobiEyesLqp),
@@ -109,7 +60,7 @@ fn parse_approach(name: &str) -> Result<Approach, String> {
 }
 
 fn parse_args() -> Result<Cli, String> {
-    let mut builder = SimConfig::builder();
+    let mut config = SimConfig::default();
     let mut approach = Approach::MobiEyesEqp;
     let mut metrics_out = None;
     let mut args = std::env::args().skip(1).peekable();
@@ -124,75 +75,19 @@ fn parse_args() -> Result<Cli, String> {
         };
         match arg.as_str() {
             "--mode" => approach = parse_approach(&value("--mode")?)?,
-            "--objects" => builder = builder.objects(parse(&value("--objects")?)?),
-            "--queries" => builder = builder.queries(parse(&value("--queries")?)?),
-            "--nmo" => {
-                builder = builder.objects_changing_velocity(parse(&value("--nmo")?)?);
-            }
-            "--alpha" => builder = builder.alpha(parse(&value("--alpha")?)?),
-            "--alen" => builder = builder.alen(parse(&value("--alen")?)?),
-            "--area" => builder = builder.area(parse(&value("--area")?)?),
-            "--ticks" => builder = builder.ticks(parse(&value("--ticks")?)?),
-            "--warmup" => builder = builder.warmup_ticks(parse(&value("--warmup")?)?),
-            "--delta" => builder = builder.delta(parse(&value("--delta")?)?),
-            "--radius-factor" => {
-                builder = builder.radius_factor(parse(&value("--radius-factor")?)?);
-            }
-            "--focal-pool" => {
-                builder = builder.focal_pool(parse(&value("--focal-pool")?)?);
-            }
-            "--threads" => builder = builder.threads(parse(&value("--threads")?)?),
-            "--partitions" => builder = builder.partitions(parse(&value("--partitions")?)?),
-            "--transport" => {
-                builder = builder.transport(
-                    TransportKind::parse(&value("--transport")?).map_err(|e| e.to_string())?,
-                );
-            }
-            "--engine" => {
-                builder = builder
-                    .engine(EngineKind::parse(&value("--engine")?).map_err(|e| e.to_string())?);
-            }
-            "--rebalance-ticks" => {
-                builder = builder.rebalance_ticks(parse(&value("--rebalance-ticks")?)?);
-            }
-            "--partition-crash-ticks" => {
-                builder = builder.partition_crash_ticks(parse(&value("--partition-crash-ticks")?)?);
-            }
-            "--partition-crash-kills" => {
-                builder = builder.partition_crash_kills(parse(&value("--partition-crash-kills")?)?);
-            }
-            "--recovery" => {
-                builder = builder.recovery(
-                    RecoveryKind::parse(&value("--recovery")?).map_err(|e| e.to_string())?,
-                );
-            }
-            "--store-dir" => builder = builder.store_dir(value("--store-dir")?),
-            "--checkpoint-ticks" => {
-                builder = builder.store_checkpoint_ticks(parse(&value("--checkpoint-ticks")?)?);
-            }
-            "--seed" => builder = builder.seed(parse(&value("--seed")?)?),
-            "--uplink-drop" => {
-                builder = builder.uplink_drop(parse(&value("--uplink-drop")?)?);
-            }
-            "--downlink-drop" => {
-                builder = builder.downlink_drop(parse(&value("--downlink-drop")?)?);
-            }
-            "--dup-rate" => builder = builder.dup_rate(parse(&value("--dup-rate")?)?),
-            "--churn-rate" => builder = builder.churn_rate(parse(&value("--churn-rate")?)?),
-            "--lease-ticks" => builder = builder.lease_ticks(parse(&value("--lease-ticks")?)?),
-            "--grouping" => builder = builder.grouping(true),
-            "--safe-period" => builder = builder.safe_period(true),
             "--metrics-out" => metrics_out = Some(value("--metrics-out")?),
             "-h" | "--help" => {
-                print!("{HELP}");
+                print!("{}", help());
                 std::process::exit(0);
             }
-            other => return Err(format!("unknown argument: {other}")),
+            flag => config
+                .apply_flag(flag, &mut args)
+                .map_err(|e| e.to_string())?,
         }
     }
     Ok(Cli {
         approach,
-        config: builder.build().map_err(|e| e.to_string())?,
+        config: config.validate().map_err(|e| e.to_string())?,
         metrics_out,
     })
 }
@@ -219,7 +114,7 @@ fn run_trajectory(mut args: impl Iterator<Item = String>) -> Result<(), String> 
             "--t0" => t0 = parse(&value("--t0")?)?,
             "--t1" => t1 = parse(&value("--t1")?)?,
             "-h" | "--help" => {
-                print!("{HELP}");
+                print!("{USAGE}");
                 return Ok(());
             }
             other => return Err(format!("unknown argument: {other}")),
@@ -326,7 +221,7 @@ fn export_snapshot(path: &str, snapshot: &MetricsSnapshot) -> std::io::Result<()
 fn main() {
     if std::env::args().nth(1).as_deref() == Some("trajectory") {
         if let Err(e) = run_trajectory(std::env::args().skip(2)) {
-            eprintln!("error: {e}\n\n{HELP}");
+            eprintln!("error: {e}\n(see mobieyes --help)");
             std::process::exit(2);
         }
         return;
@@ -334,7 +229,7 @@ fn main() {
     let cli = match parse_args() {
         Ok(v) => v,
         Err(e) => {
-            eprintln!("error: {e}\n\n{HELP}");
+            eprintln!("error: {e}\n(see mobieyes --help)");
             std::process::exit(2);
         }
     };

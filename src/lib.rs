@@ -21,7 +21,8 @@
 //!   force oracle).
 //! - [`sim`]: Table 1 workload generation, mobility, ground truth and the
 //!   measurement drivers behind every figure of the paper.
-//! - [`runtime`]: a threaded actor deployment of the same protocol.
+//! - [`cluster`]: the grid-sharded server tier, in-process or one OS
+//!   process per partition.
 //!
 //! ## Quickstart
 //!
@@ -74,7 +75,6 @@ pub use mobieyes_core as core;
 pub use mobieyes_geo as geo;
 pub use mobieyes_net as net;
 pub use mobieyes_rstar as rstar;
-pub use mobieyes_runtime as runtime;
 pub use mobieyes_sim as sim;
 pub use mobieyes_store as store;
 pub use mobieyes_telemetry as telemetry;
@@ -154,11 +154,10 @@ pub mod prelude {
         Endpoint, FramedConn, Listener, LockstepTransport, SocketTransport, Transport,
         TransportError,
     };
-    pub use mobieyes_runtime::{ThreadedOutcome, ThreadedSim};
     pub use mobieyes_sim::{
         run_approach, run_approach_with, Approach, ClusterClient, ConfigError, EngineKind,
         HostedPartitions, MobiEyesSim, Mobility, RecoveryKind, RunMetrics, RunReport, SimConfig,
-        SimConfigBuilder, TransportKind, Workload,
+        TransportKind, Workload,
     };
     pub use mobieyes_telemetry::{
         MetricsRegistry, MetricsSnapshot, Phase, Telemetry, TickProfiler,

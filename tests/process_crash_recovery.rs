@@ -8,9 +8,8 @@
 
 use mobieyes::net::PartitionCrashPlan;
 use mobieyes::prelude::*;
+use mobieyes::sim::PartitionProcess;
 use std::cell::RefCell;
-use std::io::{BufRead, BufReader};
-use std::process::{Child, Command, Stdio};
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -32,9 +31,9 @@ fn crash_config(seed: u64) -> SimConfig {
 /// Spawns one `mobieyes-serve partition` child on a fresh Unix socket and
 /// waits for its `READY` line. The tests of this file run in parallel in
 /// one process, and respawns reuse a partition id, so a per-process spawn
-/// counter keeps every socket path apart (binding a path unlinks whatever
-/// socket sits there).
-fn spawn_service(p: usize) -> (Child, Endpoint) {
+/// counter keeps every socket path apart. The returned guard kills and
+/// reaps the child if the test panics before it shuts down.
+fn spawn_service(p: usize) -> (PartitionProcess, Endpoint) {
     static SPAWNS: AtomicU64 = AtomicU64::new(0);
     let spawn = SPAWNS.fetch_add(1, Ordering::Relaxed);
     let listen = format!(
@@ -46,27 +45,14 @@ fn spawn_service(p: usize) -> (Child, Endpoint) {
             ))
             .display()
     );
-    let mut child = Command::new(env!("CARGO_BIN_EXE_mobieyes-serve"))
-        .args([
-            "partition",
-            "--partition",
-            &p.to_string(),
-            "--listen",
-            &listen,
-        ])
-        .stdout(Stdio::piped())
-        .spawn()
-        .expect("spawn partition service");
-    let stdout = child.stdout.take().expect("piped stdout");
-    let mut ready = String::new();
-    BufReader::new(stdout)
-        .read_line(&mut ready)
-        .expect("read READY line");
-    let bound = ready
-        .trim()
-        .strip_prefix("READY ")
-        .expect("service announces READY");
-    (child, Endpoint::parse(bound).expect("parse bound endpoint"))
+    let service = PartitionProcess::spawn(
+        env!("CARGO_BIN_EXE_mobieyes-serve").as_ref(),
+        p as u32,
+        &listen,
+    )
+    .expect("spawn partition service and read its READY line");
+    let endpoint = service.endpoint().clone();
+    (service, endpoint)
 }
 
 fn connect(endpoint: &Endpoint, p: u32) -> FramedConn {
@@ -168,7 +154,7 @@ fn assert_process_crash_recovery(seed: u64, recovery: RecoveryKind, rebalance_ti
     let config = || crash_config(seed).with_rebalance_ticks(rebalance_ticks);
 
     // The live deployment: one OS process per partition.
-    let children: Rc<RefCell<Vec<Option<Child>>>> = Rc::new(RefCell::new(Vec::new()));
+    let children: Rc<RefCell<Vec<Option<PartitionProcess>>>> = Rc::new(RefCell::new(Vec::new()));
     let mut conns = Vec::with_capacity(PARTITIONS);
     for p in 0..PARTITIONS {
         let (child, endpoint) = spawn_service(p);
@@ -182,9 +168,8 @@ fn assert_process_crash_recovery(seed: u64, recovery: RecoveryKind, rebalance_ti
     sim.set_crash_hook(move |p| {
         // SIGKILL, then reap: the child's sockets are provably closed
         // before the coordinator's liveness probe runs.
-        if let Some(mut child) = kill_slots.borrow_mut()[p as usize].take() {
-            child.kill().expect("SIGKILL the victim service");
-            child.wait().expect("reap the victim service");
+        if let Some(service) = kill_slots.borrow_mut()[p as usize].take() {
+            service.kill().expect("SIGKILL and reap the victim service");
         }
     });
     if recovery == RecoveryKind::Respawn {
@@ -200,8 +185,8 @@ fn assert_process_crash_recovery(seed: u64, recovery: RecoveryKind, rebalance_ti
     // Survivors (and respawned victims) saw Shutdown and must exit
     // cleanly; failover victims were reaped by the kill hook.
     for (p, slot) in children.borrow_mut().iter_mut().enumerate() {
-        if let Some(mut child) = slot.take() {
-            let status = child.wait().expect("wait for partition service");
+        if let Some(service) = slot.take() {
+            let status = service.wait().expect("wait for partition service");
             assert!(status.success(), "partition {p} exited with {status}");
         }
     }
